@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Rank and accuracy versus the rank-loss weight at 99% sparsity.
 
-Drives the CLI end to end: writes the benchmark config, runs `sweep-lambda`,
-then renders the sweep CSV with `plot`.
+Drives the CLI end to end: runs `sweep-lambda` on the toy benchmark
+(configs/toy.cfg), then renders the sweep CSV with `plot`.
 
 Usage: python scripts/lambda_sweep.py --out runs/sweep [--lambdas 0,0.01,0.1,1]
 """
@@ -15,33 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rankprune.cli import main as cli
 
-BENCH_CONFIG = """\
-[model]
-input = 64
-layers = dense:128, dense:128
-classes = 10
-
-[dataset]
-kind = synthetic
-features = 64
-samples_per_class = 100
-cluster_spread = 0.8
-seed = 11
-
-[train]
-final_sparsity = 0.99
-prune_steps = 2800
-update_interval = 100
-total_steps = 3000
-learning_rate = 0.03
-momentum = 0.9
-weight_decay = 0.001
-batch_size = 32
-seed = 0
-
-[report]
-delta = 0.1
-"""
+BENCH_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
 
 
 def main():
@@ -52,12 +26,8 @@ def main():
     args = ap.parse_args()
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg_path = out / "benchmark.cfg"
-    cfg_path.write_text(BENCH_CONFIG, encoding="utf-8")
-
     code = cli([
-        "sweep-lambda", "--config", str(cfg_path),
+        "sweep-lambda", "--config", str(BENCH_CONFIG),
         "--lambdas", args.lambdas, "--seed", str(args.seed), "--out", str(out),
     ])
     if code != 0:

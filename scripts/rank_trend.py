@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Rank-vs-sparsity trend on the toy benchmark.
 
-Trains the 64-128-128-10 MLP on synthetic blobs at several target sparsities,
-once without the rank objective (lambda=0) and once with it, then writes a CSV
-and an SVG comparing the final average delta-rank of the two methods.
+Trains the toy benchmark (configs/toy.cfg: the 64-128-128-10 MLP on synthetic
+blobs) at several target sparsities, once without the rank objective (lambda=0)
+and once with it, then writes a CSV and an SVG comparing the final average
+delta-rank of the two methods.
 
 Usage: python scripts/rank_trend.py --out runs/trend [--seeds 0,1,2] [--lambda 1.0]
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -17,30 +19,24 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rankprune import datasets, model, svgplot, trainer
-from rankprune.rank import RankLossConfig
-from rankprune.sparsity import GrowSchedule, SparsitySchedule
-from rankprune.trainer import TrainConfig
+from rankprune.config import parse_config
 
 SPARSITIES = (0.90, 0.95, 0.99)
 
-DATASET = datasets.SyntheticDatasetSpec(
-    num_classes=10, features=64, samples_per_class=100, cluster_spread=0.8, seed=11
-)
+TOY = parse_config(Path(__file__).resolve().parent.parent / "configs" / "toy.cfg")
 
 
 def run(data, seed, lam, final_sparsity, delta):
-    net = model.build_network(64, [("dense", 128), ("dense", 128)], 10, seed=seed)
-    cfg = TrainConfig(
-        schedule=SparsitySchedule(final_sparsity, 2800, 100, 3000),
-        grow=GrowSchedule(0.3),
-        rank_cfg=RankLossConfig(lam=lam, target_error=0.2, delta_rank_tolerance=delta),
-        learning_rate=0.03,
-        momentum=0.9,
-        weight_decay=0.001,
-        batch_size=32,
+    m = TOY.model
+    net = model.build_network(m.input_shape, m.layers, m.num_classes, seed=seed)
+    t = TOY.train
+    cfg = dataclasses.replace(
+        t,
+        schedule=dataclasses.replace(t.schedule, final_sparsity=final_sparsity),
+        rank_cfg=dataclasses.replace(t.rank_cfg, lam=lam),
         seed=seed,
     )
-    res = trainer.train(net, data, cfg)
+    res = trainer.train(net, data, cfg, delta=delta)
     return trainer.average_delta_rank(res.net, delta), res.metrics[-1].eval_acc
 
 
@@ -55,7 +51,7 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seeds = [int(s) for s in args.seeds.split(",")]
-    data = datasets.make_blobs(DATASET)
+    data = datasets.make_blobs(TOY.dataset)
 
     rows = ["method,sparsity,avg_delta_rank,eval_accuracy"]
     series = {}

@@ -37,9 +37,7 @@ def _build_dataset(cfg: ExperimentConfig) -> datasets.Dataset:
 
 
 def _build_network(cfg: ExperimentConfig) -> model.Network:
-    shape = cfg.model.input_shape
-    input_shape = shape if len(shape) == 3 else shape[0]
-    return model.build_network(input_shape, cfg.model.layers, cfg.model.num_classes, cfg.train.seed)
+    return model.build_network(cfg.model.input_shape, cfg.model.layers, cfg.model.num_classes, cfg.train.seed)
 
 
 def _write_metrics(path: Path, records: list[MetricsRecord]) -> None:
@@ -74,7 +72,8 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path, stop_after=None, resume=No
             )
         ckpt.restore_into(state, net, opt)
         start_step = state.step
-    result = trainer.train(net, data, cfg.train, start_step=start_step, optimizer=opt, stop_after=stop_after)
+    result = trainer.train(net, data, cfg.train, start_step=start_step, optimizer=opt,
+                           stop_after=stop_after, delta=cfg.report.delta)
     _write_metrics(out_dir / "metrics.csv", result.metrics)
     ckpt.save_checkpoint(
         out_dir / "checkpoint.bin",
@@ -150,24 +149,16 @@ def cmd_sweep_lambda(args) -> int:
 
 
 def _layer_report(name: str, weight: np.ndarray, mask: np.ndarray, delta: float) -> dict:
-    effective = weight * mask
-    mat = effective if effective.ndim == 2 else effective.reshape(effective.shape[0], -1)
+    mat = (weight * mask).reshape(weight.shape[0], -1)
     size = int(mask.size)
     active = int(np.count_nonzero(mask))
-    norm = np.linalg.norm(mat)
-    if norm > 0:
-        sigma = np.linalg.svd(mat / norm, compute_uv=False)
-        spectrum = [float(s) for s in sigma]
-        drank = rank.delta_rank(mat, delta)
-    else:
-        spectrum = []
-        drank = 0
+    sigma, drank, _ = rank.layer_spectrum(mat, delta)
     return {
         "layer": name,
         "shape": list(weight.shape),
         "sparsity": 1.0 - active / size,
         "delta_rank": drank,
-        "spectrum": spectrum,
+        "spectrum": [float(s) for s in sigma],
     }
 
 
@@ -195,9 +186,8 @@ def _analyze_state(path: str, delta: float) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    delta = args.delta if args.delta is not None else 0.1
-    reports = [_analyze_state(p, delta) for p in args.checkpoints]
-    print(json.dumps({"delta": delta, "checkpoints": reports}, indent=2, sort_keys=True))
+    reports = [_analyze_state(p, args.delta) for p in args.checkpoints]
+    print(json.dumps({"delta": args.delta, "checkpoints": reports}, indent=2, sort_keys=True))
     return 0
 
 
@@ -314,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="per-layer rank/sparsity report from checkpoints")
     p_an.add_argument("checkpoints", nargs="+", help="one or two checkpoint files")
-    p_an.add_argument("--delta", type=float, help="rank tolerance (default 0.1)")
+    p_an.add_argument("--delta", type=float, default=rank.DEFAULT_DELTA, help="rank tolerance (default %(default)s)")
     p_an.set_defaults(func=cmd_analyze)
 
     p_plot = sub.add_parser("plot", help="emit SVG charts from metrics/sweep CSVs")

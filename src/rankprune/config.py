@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .rank import RankLossConfig
+from .rank import DEFAULT_DELTA, RankLossConfig
 from .sparsity import GrowSchedule, SparsitySchedule
 from .trainer import TrainConfig
 from .datasets import SyntheticDatasetSpec
@@ -49,7 +49,7 @@ class IdxDatasetSpec:
 @dataclass(frozen=True)
 class ReportSpec:
     out_dir: str = "runs/out"
-    delta: float = 0.1
+    delta: float = DEFAULT_DELTA
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,6 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
         "alpha0": tsec.get_float("alpha0", default="0.3"),
         "lambda": tsec.get_float("lambda", default="0.1"),
         "target_error": tsec.get_float("target_error", default="0.2"),
-        "delta_rank_tolerance": tsec.get_float("delta_rank_tolerance", default="0.1"),
         "norm_floor": tsec.get_float("norm_floor", default="1e-12"),
         "learning_rate": tsec.get_float("learning_rate", default="0.1"),
         "momentum": tsec.get_float("momentum", default="0.9"),
@@ -260,7 +259,6 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
             rank_cfg=RankLossConfig(
                 target_error=names["target_error"],
                 lam=names["lambda"],
-                delta_rank_tolerance=names["delta_rank_tolerance"],
                 norm_floor=names["norm_floor"],
             ),
             learning_rate=names["learning_rate"],
@@ -276,7 +274,7 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
 
     if "report" in sections:
         rsec = _Section(path, "report", sections["report"])
-        delta = rsec.get_float("delta", default="0.1")
+        delta = rsec.get_float("delta", default=DEFAULT_DELTA)
         if not delta > 0.0:
             raise rsec.error("delta", f"must be positive, got {delta}")
         report = ReportSpec(out_dir=rsec.get_str("out_dir", default="runs/out"), delta=delta)
@@ -341,7 +339,6 @@ def serialize_config(cfg: ExperimentConfig, include_report: bool = True) -> str:
         f"alpha0 = {_fmt(t.grow.alpha0)}",
         f"lambda = {_fmt(t.rank_cfg.lam)}",
         f"target_error = {_fmt(t.rank_cfg.target_error)}",
-        f"delta_rank_tolerance = {_fmt(t.rank_cfg.delta_rank_tolerance)}",
         f"norm_floor = {_fmt(t.rank_cfg.norm_floor)}",
         f"learning_rate = {_fmt(t.learning_rate)}",
         f"momentum = {_fmt(t.momentum)}",

@@ -37,12 +37,13 @@ class SvdFactors:
     """Thin SVD of an m-by-n matrix: ``u @ diag(sigma) @ v.T`` reconstructs it.
 
     u is m-by-r and v is n-by-r with orthonormal columns; sigma holds the
-    r = min(m, n) singular values in descending order.
+    r = min(m, n) singular values in descending order. u and v are None when
+    only the values were computed.
     """
 
-    u: np.ndarray
+    u: np.ndarray | None
     sigma: np.ndarray
-    v: np.ndarray
+    v: np.ndarray | None
 
     @property
     def rank_bound(self) -> int:
@@ -55,14 +56,17 @@ def frobenius_norm(w) -> float:
     return float(np.sqrt(np.sum(w * w)))
 
 
-def svd(w) -> SvdFactors:
+def svd(w, vectors: bool = True) -> SvdFactors:
     """Thin SVD with a deterministic sign convention.
 
     The sign of each left singular vector is fixed so that its first nonzero
     entry is non-negative (the matching right vector is flipped with it),
     which makes repeated calls on identical input bitwise reproducible.
+    With vectors=False only sigma is computed, at a fraction of the cost.
     """
     w = as_matrix(w)
+    if not vectors:
+        return SvdFactors(u=None, sigma=np.linalg.svd(w, compute_uv=False), v=None)
     u, s, vt = np.linalg.svd(w, full_matrices=False)
     v = vt.T.copy()
     u = u.copy()

@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import SvdFactors, as_matrix, frobenius_norm, low_rank_error, svd
 
 __all__ = [
+    "DEFAULT_DELTA",
     "RankLossConfig",
     "RankTerm",
     "DegenerateWeightError",
@@ -30,12 +31,16 @@ __all__ = [
     "delta_rank",
     "rank_step_preview",
     "layer_rank_term",
+    "layer_spectrum",
 ]
 
 # Truncation boundary sigma_k == sigma_{k+1} makes the best rank-k
 # approximation non-unique and the gradient undefined; gaps below this
 # (on the normalized spectrum) are treated as degenerate.
 SPECTRUM_GAP_TOL = 1e-10
+
+# Tolerance of reported delta-ranks unless [report] delta or --delta sets one.
+DEFAULT_DELTA = 0.1
 
 
 class DegenerateWeightError(ValueError):
@@ -53,14 +58,12 @@ class RankLossConfig:
     target_error: desired approximation error of the adversary's low-rank fit,
         used to pick the truncation rank k per layer (in (0,1)).
     lam: weight of the rank loss in the combined objective (>= 0).
-    delta_rank_tolerance: the delta used when *reporting* delta-ranks.
     norm_floor: matrices with Frobenius norm at or below this are treated as
         zero and skipped.
     """
 
     target_error: float = 0.2
     lam: float = 0.1
-    delta_rank_tolerance: float = 0.1
     norm_floor: float = 1e-12
 
     def __post_init__(self):
@@ -68,10 +71,6 @@ class RankLossConfig:
             raise ValueError(f"target_error must lie in (0,1), got {self.target_error}")
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
-        if not 0.0 < self.delta_rank_tolerance < 1.0:
-            raise ValueError(
-                f"delta_rank_tolerance must lie in (0,1), got {self.delta_rank_tolerance}"
-            )
         if not self.norm_floor > 0.0:
             raise ValueError(f"norm_floor must be positive, got {self.norm_floor}")
 
@@ -85,6 +84,18 @@ def normalize(w, norm_floor: float = 1e-12) -> np.ndarray:
             f"Frobenius norm {norm} at or below floor {norm_floor}"
         )
     return w / norm
+
+
+def _spectrum(w, norm_floor: float, vectors: bool = False, k: int | None = None):
+    """The one normalize->SVD pass: (w as a matrix, SVD of w/||w||).
+
+    Singular vectors are computed only when asked for; a given k must be < r.
+    """
+    w = as_matrix(w)
+    f = svd(normalize(w, norm_floor), vectors=vectors)
+    if k is not None and not 1 <= k < f.rank_bound:
+        raise ValueError(f"k={k} outside [1, {f.rank_bound - 1}]")
+    return w, f
 
 
 def select_k(sigma_normalized, target_error: float) -> int:
@@ -110,31 +121,44 @@ def select_k(sigma_normalized, target_error: float) -> int:
     return best + 1
 
 
-def rank_loss(w, k: int, norm_floor: float = 1e-12) -> float:
-    """Negative tail energy of the normalized spectrum: -sum_{i>k} sigma_i^2.
-
-    Equal to the negative squared Frobenius distance between the normalized
-    matrix and its best rank-k approximation. Lies in [-1, 0].
-    """
-    wbar = normalize(w, norm_floor)
-    f = svd(wbar)
-    if not 1 <= k < f.rank_bound:
-        raise ValueError(f"k={k} outside [1, {f.rank_bound - 1}]")
-    err = low_rank_error(f, k)
-    return -(err * err)
-
-
-def _tail_matrix(f: SvdFactors, k: int) -> np.ndarray:
-    """T = sum_{i>k} 2 sigma_i u_i v_i^T on the normalized factors."""
-    return 2.0 * (f.u[:, k:] * f.sigma[k:]) @ f.v[:, k:].T
-
-
 def _check_gap(sigma: np.ndarray, k: int) -> None:
     if not sigma[k - 1] > sigma[k] + SPECTRUM_GAP_TOL:
         raise DegenerateSpectrumError(
             f"sigma_{k}={sigma[k - 1]} ~ sigma_{k + 1}={sigma[k]}: "
             "truncation boundary degenerate"
         )
+
+
+def _term(f: SvdFactors, target_error: float) -> tuple[int, float]:
+    """The rank term's k and loss; raises DegenerateSpectrumError where it is undefined."""
+    if f.rank_bound < 2:
+        raise DegenerateSpectrumError("rank bound 1: no k < r exists")
+    k = select_k(f.sigma, target_error)
+    _check_gap(f.sigma, k)
+    err = low_rank_error(f, k)
+    return k, -(err * err)
+
+
+def _gradient(w: np.ndarray, f: SvdFactors, k: int) -> tuple[np.ndarray, float, float]:
+    """(G, c, ||W||) with G = -T/||W|| + W * c/||W||^3 the raw weight's gradient,
+    T = sum_{i>k} 2 sigma_i u_i v_i^T on the normalized factors and c = sum(W . T).
+    """
+    _check_gap(f.sigma, k)
+    norm = frobenius_norm(w)
+    t = 2.0 * (f.u[:, k:] * f.sigma[k:]) @ f.v[:, k:].T
+    c = float(np.sum(w * t))
+    return -t / norm + w * (c / norm**3), c, norm
+
+
+def rank_loss(w, k: int, norm_floor: float = 1e-12) -> float:
+    """Negative tail energy of the normalized spectrum: -sum_{i>k} sigma_i^2.
+
+    Equal to the negative squared Frobenius distance between the normalized
+    matrix and its best rank-k approximation. Lies in [-1, 0].
+    """
+    _, f = _spectrum(w, norm_floor, k=k)
+    err = low_rank_error(f, k)
+    return -(err * err)
 
 
 def rank_loss_gradient(w, k: int, norm_floor: float = 1e-12) -> np.ndarray:
@@ -144,16 +168,8 @@ def rank_loss_gradient(w, k: int, norm_floor: float = 1e-12) -> np.ndarray:
     built from the normalized matrix's SVD. Homogeneous of degree -1 in W,
     since the loss itself is scale invariant.
     """
-    w = as_matrix(w)
-    wbar = normalize(w, norm_floor)
-    f = svd(wbar)
-    if not 1 <= k < f.rank_bound:
-        raise ValueError(f"k={k} outside [1, {f.rank_bound - 1}]")
-    _check_gap(f.sigma, k)
-    norm = frobenius_norm(w)
-    t = _tail_matrix(f, k)
-    c = float(np.sum(w * t))
-    return -t / norm + w * (c / norm**3)
+    w, f = _spectrum(w, norm_floor, vectors=True, k=k)
+    return _gradient(w, f, k)[0]
 
 
 def delta_rank(w, delta: float, norm_floor: float = 1e-12) -> int:
@@ -161,16 +177,7 @@ def delta_rank(w, delta: float, norm_floor: float = 1e-12) -> int:
 
     A zero matrix reports 0 by convention.
     """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    w = as_matrix(w)
-    if frobenius_norm(w) <= norm_floor:
-        return 0
-    f = svd(normalize(w, norm_floor))
-    for k in range(1, f.rank_bound + 1):
-        if low_rank_error(f, k) < delta:
-            return k
-    return f.rank_bound
+    return layer_spectrum(w, delta, norm_floor=norm_floor)[1]
 
 
 def rank_step_preview(w, k: int, gamma: float, norm_floor: float = 1e-12) -> np.ndarray:
@@ -184,17 +191,10 @@ def rank_step_preview(w, k: int, gamma: float, norm_floor: float = 1e-12) -> np.
     """
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    w = as_matrix(w)
     if gamma == 0.0:
-        return w.copy()
-    wbar = normalize(w, norm_floor)
-    f = svd(wbar)
-    if not 1 <= k < f.rank_bound:
-        raise ValueError(f"k={k} outside [1, {f.rank_bound - 1}]")
-    _check_gap(f.sigma, k)
-    norm = frobenius_norm(w)
-    t = _tail_matrix(f, k)
-    c = float(np.sum(w * t))
+        return as_matrix(w).copy()
+    w, f = _spectrum(w, norm_floor, vectors=True, k=k)
+    _, c, norm = _gradient(w, f, k)
     diag = (1.0 - c * gamma / norm**3) * (f.sigma * norm)
     diag[k:] += (2.0 * gamma / norm) * f.sigma[k:]
     return (f.u * diag) @ f.v.T
@@ -217,17 +217,31 @@ def layer_rank_term(w, cfg: RankLossConfig) -> RankTerm:
     layer this step. Matrices whose min dimension is 1 admit no k < r and also
     raise DegenerateSpectrumError.
     """
-    w = as_matrix(w)
-    wbar = normalize(w, cfg.norm_floor)
-    f = svd(wbar)
-    r = f.rank_bound
-    if r < 2:
-        raise DegenerateSpectrumError("rank bound 1: no k < r exists")
-    k = select_k(f.sigma, cfg.target_error)
-    _check_gap(f.sigma, k)
-    err = low_rank_error(f, k)
-    norm = frobenius_norm(w)
-    t = _tail_matrix(f, k)
-    c = float(np.sum(w * t))
-    grad = -t / norm + w * (c / norm**3)
-    return RankTerm(loss=-(err * err), gradient=grad, k=k)
+    w, f = _spectrum(w, cfg.norm_floor, vectors=True)
+    k, loss = _term(f, cfg.target_error)
+    return RankTerm(loss=loss, gradient=_gradient(w, f, k)[0], k=k)
+
+
+def layer_spectrum(w, delta: float, cfg: RankLossConfig | None = None, norm_floor: float = 1e-12):
+    """(sigma, delta_rank, loss) of one layer from a single values-only SVD.
+
+    sigma holds the normalized singular values, delta_rank is delta_rank(w,
+    delta), and loss is what layer_rank_term(w, cfg) would give. A matrix at
+    or below norm_floor reports an empty sigma and delta-rank 0; loss is None
+    without cfg and wherever layer_rank_term would skip the layer.
+    """
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    try:
+        w, f = _spectrum(w, norm_floor)
+    except DegenerateWeightError:
+        return np.zeros(0), 0, None
+    # k = r always qualifies: its error is 0 < delta
+    drank = next(k for k in range(1, f.rank_bound + 1) if low_rank_error(f, k) < delta)
+    loss = None
+    if cfg is not None and frobenius_norm(w) > cfg.norm_floor:
+        try:
+            loss = _term(f, cfg.target_error)[1]
+        except DegenerateSpectrumError:
+            pass
+    return f.sigma, drank, loss

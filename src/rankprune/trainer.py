@@ -90,6 +90,13 @@ class OptimizerState:
 
 @dataclass
 class MetricsRecord:
+    """One metrics.csv row.
+
+    task_loss and train_acc come from the step's batch before its update. The
+    rank metrics and eval_acc, filled at update-interval steps and the last
+    step, describe the network after the step: the state the checkpoint holds.
+    """
+
     step: int
     sparsity: float
     task_loss: float
@@ -134,27 +141,26 @@ def _batch_indices(seed: int, step: int, n: int, batch_size: int) -> np.ndarray:
 def combined_gradient(net: Network, batch: Batch, rank_cfg: RankLossConfig):
     """Dense gradients of task loss + lambda * sum of layer rank losses.
 
-    Returns (grads, rank_loss_sum) where grads is a list of (dweight, dbias)
-    per layer, with the rank term mapped back through the conv reshape.
+    Returns a list of (dweight, dbias) per layer, with the rank term mapped
+    back through the conv reshape.
     Layers whose weight is degenerate (near-zero norm, tied spectrum at the
     truncation boundary, or rank bound 1) contribute task gradient only.
     """
     logits, cache = forward(net, batch)
     grads = backward(net, cache, batch.labels)
     lam = rank_cfg.lam
-    rank_loss_sum = 0.0
+    if lam == 0.0:
+        return grads
     for idx, layer in enumerate(net.layers):
         try:
             term = rank.layer_rank_term(model.reshape_to_matrix(layer), rank_cfg)
         except (DegenerateWeightError, DegenerateSpectrumError) as exc:
             logger.info("rank term skipped for %s: %s", layer.name, exc)
             continue
-        rank_loss_sum += term.loss
-        if lam != 0.0:
-            dw, db = grads[idx]
-            rank_grad = matrix_to_tensor(term.gradient, layer.params.weight.shape)
-            grads[idx] = (dw + lam * rank_grad, db)
-    return grads, rank_loss_sum
+        dw, db = grads[idx]
+        rank_grad = matrix_to_tensor(term.gradient, layer.params.weight.shape)
+        grads[idx] = (dw + lam * rank_grad, db)
+    return grads
 
 
 def sgd_step(net: Network, grads, opt: OptimizerState, lr: float, momentum: float, weight_decay: float) -> None:
@@ -177,21 +183,19 @@ def sgd_step(net: Network, grads, opt: OptimizerState, lr: float, momentum: floa
 
 def average_delta_rank(net: Network, delta: float) -> float:
     """Mean delta-rank of the effective weight matrices over all prunable layers."""
-    ranks = [
-        rank.delta_rank(model.reshape_to_matrix(layer), delta) for layer in net.layers
-    ]
-    return float(np.mean(ranks))
+    return _rank_metrics(net, None, delta)[1]
 
 
-def _rank_loss_total(net: Network, rank_cfg: RankLossConfig) -> float:
+def _rank_metrics(net: Network, rank_cfg: RankLossConfig | None, delta: float) -> tuple[float, float]:
+    """(summed rank loss, mean delta-rank) from one values-only SVD per layer."""
     total = 0.0
+    ranks = []
     for layer in net.layers:
-        try:
-            term = rank.layer_rank_term(model.reshape_to_matrix(layer), rank_cfg)
-        except (DegenerateWeightError, DegenerateSpectrumError):
-            continue
-        total += term.loss
-    return total
+        _, drank, loss = rank.layer_spectrum(model.reshape_to_matrix(layer), delta, rank_cfg)
+        if loss is not None:
+            total += loss
+        ranks.append(drank)
+    return total, float(np.mean(ranks))
 
 
 def _evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray) -> float:
@@ -208,13 +212,13 @@ def train(
     start_step: int = 0,
     optimizer: OptimizerState | None = None,
     stop_after: int | None = None,
+    delta: float = rank.DEFAULT_DELTA,
 ) -> TrainResult:
     """Run steps start_step+1 .. total_steps (or stop_after) of the schedule.
 
-    dataset provides train_x/train_y/eval_x/eval_y arrays. Metrics rows are
-    appended every step; rank metrics and eval accuracy are recorded at
-    update-interval boundaries and on the final step. Schedule problems raise,
-    they are never clamped away.
+    dataset provides train_x/train_y/eval_x/eval_y arrays. One MetricsRecord
+    is appended per step, with delta-ranks at tolerance delta. Schedule
+    problems raise, they are never clamped away.
     """
     sched = cfg.schedule
     opt = optimizer if optimizer is not None else OptimizerState.zeros_like(net)
@@ -233,42 +237,32 @@ def train(
 
         update_step = step % sched.update_interval == 0
         mask_step = update_step and step <= sched.prune_steps
-        rank_loss_sum = None
+        logits, cache = forward(net, batch)
+        loss = task_loss(logits, batch.labels)
+        acc = accuracy(logits, batch.labels)
         if mask_step:
-            grads, rank_loss_sum = combined_gradient(net, batch, cfg.rank_cfg)
-            logits, cache = forward(net, batch)
-            loss = task_loss(logits, batch.labels)
-            acc = accuracy(logits, batch.labels)
+            grads = combined_gradient(net, batch, cfg.rank_cfg)
             dense_grads = [dw for dw, _ in grads]
             sparsity.update_masks(net, dense_grads, sched, cfg.grow, step)
             net.touch()
             opt.mask_pruned(net)
-            sgd_step(net, grads, opt, lr, cfg.momentum, cfg.weight_decay)
         else:
-            logits, cache = forward(net, batch)
-            loss = task_loss(logits, batch.labels)
-            acc = accuracy(logits, batch.labels)
             grads = backward(net, cache, batch.labels)
-            sgd_step(net, grads, opt, lr, cfg.momentum, cfg.weight_decay)
+        sgd_step(net, grads, opt, lr, cfg.momentum, cfg.weight_decay)
 
-        record_rank = update_step or step == sched.total_steps
-        if record_rank and rank_loss_sum is None:
-            rank_loss_sum = _rank_loss_total(net, cfg.rank_cfg)
+        rank_loss = avg_rank = eval_acc = None
+        if update_step or step == sched.total_steps:
+            rank_loss, avg_rank = _rank_metrics(net, cfg.rank_cfg, delta)
+            eval_acc = _evaluate(net, dataset.eval_x, dataset.eval_y)
         metrics.append(
             MetricsRecord(
                 step=step,
                 sparsity=net.sparsity(),
                 task_loss=loss,
-                rank_loss=rank_loss_sum if record_rank else None,
-                avg_delta_rank=(
-                    average_delta_rank(net, cfg.rank_cfg.delta_rank_tolerance)
-                    if record_rank
-                    else None
-                ),
+                rank_loss=rank_loss,
+                avg_delta_rank=avg_rank,
                 train_acc=acc,
-                eval_acc=(
-                    _evaluate(net, dataset.eval_x, dataset.eval_y) if record_rank else None
-                ),
+                eval_acc=eval_acc,
             )
         )
     return TrainResult(net=net, metrics=metrics, optimizer=opt, final_step=step)

@@ -5,14 +5,16 @@ lines. Criteria 6 and 7 share one training-run matrix (60 runs, a few
 minutes); everything else is fast.
 """
 
+import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rankprune import datasets, linalg, model, rank, sparsity as sp, trainer
 from rankprune.cli import main
-from rankprune.rank import RankLossConfig
+from rankprune.config import parse_config
 from rankprune.sparsity import GrowSchedule, SparsitySchedule
 from rankprune.trainer import TrainConfig
 
@@ -254,20 +256,16 @@ def test_criterion_5_mask_machinery():
 # 6 & 7. Trend reproduction on the toy benchmark (shared run matrix)
 # ----------------------------------------------------------------------
 
-BENCH_DATASET = datasets.SyntheticDatasetSpec(
-    num_classes=10, features=64, samples_per_class=100, cluster_spread=0.8, seed=11
-)
+TOY = parse_config(Path(__file__).resolve().parent.parent / "configs" / "toy.cfg")
+BENCH_DATASET = TOY.dataset
 
 
 def bench_config(final_sparsity: float, lam: float, seed: int) -> TrainConfig:
-    return TrainConfig(
-        schedule=SparsitySchedule(final_sparsity, 2800, 100, 3000),
-        grow=GrowSchedule(0.3),
-        rank_cfg=RankLossConfig(lam=lam, target_error=0.2, delta_rank_tolerance=0.1),
-        learning_rate=0.03,
-        momentum=0.9,
-        weight_decay=0.001,
-        batch_size=32,
+    t = TOY.train
+    return dataclasses.replace(
+        t,
+        schedule=dataclasses.replace(t.schedule, final_sparsity=final_sparsity),
+        rank_cfg=dataclasses.replace(t.rank_cfg, lam=lam),
         seed=seed,
     )
 
@@ -281,7 +279,9 @@ def run_matrix():
     for seed in SEEDS:
         for s in SPARSITIES:
             for lam in LAMBDAS:
-                net = model.build_network(64, [("dense", 128), ("dense", 128)], 10, seed=seed)
+                net = model.build_network(
+                    TOY.model.input_shape, TOY.model.layers, TOY.model.num_classes, seed=seed
+                )
                 res = trainer.train(net, data, bench_config(s, lam, seed))
                 results[(seed, s, lam)] = (
                     trainer.average_delta_rank(res.net, 0.1),

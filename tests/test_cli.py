@@ -96,6 +96,15 @@ class TestCmdTrain:
         # final checkpoints bitwise identical
         assert (out_b / "checkpoint.bin").read_bytes() == (out / "checkpoint.bin").read_bytes()
 
+    def test_metrics_record_at_report_delta(self, tmp_path):
+        cfg_path, out = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path), "--delta", "0.5"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        header, *rows = (out / "metrics.csv").read_text().splitlines()
+        last = dict(zip(header.split(","), rows[-1].split(",")))
+        assert summary["delta"] == 0.5
+        assert float(last["avg_delta_rank"]) == summary["avg_delta_rank"]
+
     def test_resume_with_wrong_config_rejected(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)
         assert main(["train", "--config", str(cfg_path), "--stop-after", "70"]) == 0
@@ -189,6 +198,8 @@ class TestCmdAnalyze:
         assert report["checkpoints"][0]["global_sparsity"] == pytest.approx(
             summary["final_sparsity"]
         )
+        ranks = [layer["delta_rank"] for layer in report["checkpoints"][0]["layers"]]
+        assert sum(ranks) / len(ranks) == summary["avg_delta_rank"]
 
     def test_two_checkpoints_side_by_side(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)

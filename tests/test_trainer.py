@@ -37,7 +37,7 @@ class TestCombinedGradient:
         net = small_net()
         data = small_dataset()
         batch = Batch(data.train_x[:8], data.train_y[:8])
-        grads, _ = trainer.combined_gradient(net, batch, RankLossConfig(lam=0.0))
+        grads = trainer.combined_gradient(net, batch, RankLossConfig(lam=0.0))
         _, cache = model.forward(net, batch)
         task = model.backward(net, cache, batch.labels)
         for (dw, db), (tw, tb) in zip(grads, task):
@@ -53,7 +53,7 @@ class TestCombinedGradient:
         data = small_dataset()
         batch = Batch(data.train_x[:8], data.train_y[:8])
         lam = 0.25
-        grads, _ = trainer.combined_gradient(net, batch, RankLossConfig(lam=lam))
+        grads = trainer.combined_gradient(net, batch, RankLossConfig(lam=lam))
         term = rank.layer_rank_term(
             model.reshape_to_matrix(net.layers[0]), RankLossConfig(lam=lam)
         )
@@ -70,7 +70,7 @@ class TestCombinedGradient:
         x = rng.normal(size=(4, 6))
         labels = rng.integers(0, 3, 4)
         batch = Batch(x, labels)
-        grads, _ = trainer.combined_gradient(net, batch, cfg)
+        grads = trainer.combined_gradient(net, batch, cfg)
 
         # freeze per-layer k at the base point, as the trainer does for one step
         ks = [
@@ -112,7 +112,7 @@ class TestCombinedGradient:
         net.touch()
         data = small_dataset()
         batch = Batch(data.train_x[:8], data.train_y[:8])
-        grads, rank_sum = trainer.combined_gradient(net, batch, RankLossConfig(lam=1.0))
+        grads = trainer.combined_gradient(net, batch, RankLossConfig(lam=1.0))
         _, cache = model.forward(net, batch)
         task = model.backward(net, cache, batch.labels)
         np.testing.assert_array_equal(grads[0][0], task[0][0])
@@ -251,6 +251,23 @@ class TestTrain:
         cfg0 = small_config(lam=0.0)
         res0 = trainer.train(small_net(seed=4), small_dataset(), cfg0)
         assert res0.net.sparsity() == pytest.approx(0.9, abs=0.01)
+
+    def test_rank_metrics_measured_after_the_step(self):
+        # step 100 is a mask step: its row must describe the network the step
+        # leaves behind, the same state the checkpoint and eval_acc see
+        cfg = small_config(final_sparsity=0.9, prune=200, interval=50, total=250)
+        res = trainer.train(small_net(), small_dataset(), cfg, stop_after=100, delta=0.3)
+        last = res.metrics[-1]
+        assert last.step == 100
+        losses, ranks = [], []
+        for layer in res.net.layers:
+            w = model.reshape_to_matrix(layer)
+            sigma = np.linalg.svd(rank.normalize(w), compute_uv=False)
+            k = rank.select_k(sigma, cfg.rank_cfg.target_error)
+            losses.append(rank.rank_loss(w, k))
+            ranks.append(rank.delta_rank(w, 0.3))
+        assert last.rank_loss == pytest.approx(sum(losses), abs=1e-12)
+        assert last.avg_delta_rank == np.mean(ranks)
 
     def test_empty_dataset_rejected(self):
         data = small_dataset()
