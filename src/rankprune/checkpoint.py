@@ -43,6 +43,11 @@ class TrainState:
 
 
 def state_from(net: Network, opt: OptimizerState, step: int, config_digest: bytes) -> TrainState:
+    """A TrainState holding the network's and optimizer's live arrays, not copies.
+
+    sgd_step updates weights, biases and momentum in place, so save the state
+    before training on.
+    """
     tensors = {}
     for i, layer in enumerate(net.layers):
         tensors[f"layer{i}.weight"] = layer.params.weight

@@ -278,6 +278,17 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of --delta: a float > 0, so a bad value fails before any training."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankprune",
@@ -289,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--seed", type=int, help="override [train] seed")
     p_train.add_argument("--out", help="override [report] out_dir")
-    p_train.add_argument("--delta", type=float, help="override [report] delta")
+    p_train.add_argument("--delta", type=_positive_float, help="override [report] delta")
     p_train.add_argument("--stop-after", type=int, dest="stop_after", help="halt after N steps (checkpoint written)")
     p_train.add_argument("--resume", help="resume from a checkpoint file")
     p_train.set_defaults(func=cmd_train)
@@ -299,12 +310,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lambdas", required=True, help="comma-separated values, e.g. 0,0.01,0.1,1")
     p_sweep.add_argument("--seed", type=int, help="override [train] seed")
     p_sweep.add_argument("--out", help="override [report] out_dir")
-    p_sweep.add_argument("--delta", type=float, help="override [report] delta")
+    p_sweep.add_argument("--delta", type=_positive_float, help="override [report] delta")
     p_sweep.set_defaults(func=cmd_sweep_lambda)
 
     p_an = sub.add_parser("analyze", help="per-layer rank/sparsity report from checkpoints")
     p_an.add_argument("checkpoints", nargs="+", help="one or two checkpoint files")
-    p_an.add_argument("--delta", type=float, default=rank.DEFAULT_DELTA, help="rank tolerance (default %(default)s)")
+    p_an.add_argument("--delta", type=_positive_float, default=rank.DEFAULT_DELTA, help="rank tolerance (default %(default)s)")
     p_an.set_defaults(func=cmd_analyze)
 
     p_plot = sub.add_parser("plot", help="emit SVG charts from metrics/sweep CSVs")

@@ -61,21 +61,20 @@ def svd(w, vectors: bool = True) -> SvdFactors:
 
     The sign of each left singular vector is fixed so that its first nonzero
     entry is non-negative (the matching right vector is flipped with it),
-    which makes repeated calls on identical input bitwise reproducible.
-    With vectors=False only sigma is computed, at a fraction of the cost.
+    which makes repeated calls on identical input bitwise reproducible. The
+    rule is applied to all columns in one pass; an all-zero column is left
+    as it is. With vectors=False only sigma is computed, at a fraction of
+    the cost.
     """
     w = as_matrix(w)
     if not vectors:
         return SvdFactors(u=None, sigma=np.linalg.svd(w, compute_uv=False), v=None)
     u, s, vt = np.linalg.svd(w, full_matrices=False)
     v = vt.T.copy()
-    u = u.copy()
-    for i in range(s.shape[0]):
-        col = u[:, i]
-        nonzero = np.nonzero(col)[0]
-        if nonzero.size and col[nonzero[0]] < 0.0:
-            u[:, i] = -col
-            v[:, i] = -v[:, i]
+    cols = np.arange(s.shape[0])
+    flip = u[np.argmax(u != 0.0, axis=0), cols] < 0.0
+    u[:, flip] = -u[:, flip]
+    v[:, flip] = -v[:, flip]
     return SvdFactors(u=u, sigma=s, v=v)
 
 

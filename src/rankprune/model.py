@@ -236,7 +236,7 @@ def forward(net: Network, batch: Batch):
                     f"layer {layer.name}: input width {x.shape[1]} != fan-in {e.shape[1]}"
                 )
             pre = x @ e.T + layer.bias
-            step = {"x": x, "pre": pre}
+            step = {"x": x, "e": e, "pre": pre}
         elif layer.kind == "conv2d":
             if x.ndim != 4:
                 raise ConfigurationError(
@@ -251,7 +251,7 @@ def forward(net: Network, batch: Batch):
             cols = _im2col(x, kh, kw)
             pre_cols = cols @ e.reshape(o, -1).T + layer.bias
             pre = pre_cols.reshape(b, h, w, o).transpose(0, 3, 1, 2)
-            step = {"x": x, "cols": cols, "pre": pre}
+            step = {"x": x, "e": e, "cols": cols, "pre": pre}
         else:
             raise ConfigurationError(f"unknown layer kind {layer.kind!r}")
         x = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
@@ -289,7 +289,9 @@ def backward(net: Network, cache, labels) -> list[tuple[np.ndarray, np.ndarray]]
     """Gradients of task_loss w.r.t. every layer's effective weight and bias.
 
     Defined at all weight positions, masked ones included. The cache must come
-    from a forward on the current parameters.
+    from a forward on the current parameters; it holds the effective weights
+    that forward used. The input gradient of the first layer is not computed,
+    since nothing reads it.
     """
     if cache.get("net_id") != id(net) or cache.get("version") != net.version:
         raise InvalidStateError("cache is stale: parameters changed since forward")
@@ -307,23 +309,22 @@ def backward(net: Network, cache, labels) -> list[tuple[np.ndarray, np.ndarray]]
         step = steps[idx]
         if layer.activation == "relu":
             dout = dout * (step["pre"] > 0.0)
-        e = layer.params.effective()
+        e = step["e"]
         if layer.kind == "dense":
-            x = step["x"]
-            dw = dout.T @ x
+            dw = dout.T @ step["x"]
             db = dout.sum(axis=0)
-            dx = dout @ e
-            prev_shape = steps[idx - 1]["out"].shape if idx > 0 else None
-            if prev_shape is not None and dx.shape != prev_shape:
-                dx = dx.reshape(prev_shape)
         else:
             o, c, kh, kw = e.shape
             bsz, _, h, w = step["x"].shape
-            dcols_out = dout.transpose(0, 2, 3, 1).reshape(bsz * h * w, o)
-            dw = (dcols_out.T @ step["cols"]).reshape(o, c, kh, kw)
-            db = dcols_out.sum(axis=0)
-            dcols = dcols_out @ e.reshape(o, -1)
-            dx = _col2im(dcols, step["x"].shape, kh, kw)
+            # one row per output pixel, matching step["cols"]
+            dout = dout.transpose(0, 2, 3, 1).reshape(bsz * h * w, o)
+            dw = (dout.T @ step["cols"]).reshape(o, c, kh, kw)
+            db = dout.sum(axis=0)
         grads[idx] = (dw, db)
-        dout = dx
+        if idx == 0:
+            break
+        if layer.kind == "dense":
+            dout = (dout @ e).reshape(steps[idx - 1]["out"].shape)
+        else:
+            dout = _col2im(dout @ e.reshape(o, -1), step["x"].shape, kh, kw)
     return grads

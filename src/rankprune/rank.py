@@ -39,6 +39,11 @@ __all__ = [
 # (on the normalized spectrum) are treated as degenerate.
 SPECTRUM_GAP_TOL = 1e-10
 
+# Relative bound on how far a cumulative-sum tail error may lie from
+# low_rank_error's (plus 1e-150 for sums of subnormal squares): far above the
+# rounding of either sum.
+TAIL_SLACK = 1e-9
+
 # Tolerance of reported delta-ranks unless [report] delta or --delta sets one.
 DEFAULT_DELTA = 0.1
 
@@ -222,6 +227,23 @@ def layer_rank_term(w, cfg: RankLossConfig) -> RankTerm:
     return RankTerm(loss=loss, gradient=_gradient(w, f, k)[0], k=k)
 
 
+def _delta_rank(f: SvdFactors, delta: float) -> int:
+    """Smallest k >= 1 with low_rank_error(f, k) < delta; k = r (error 0) always qualifies.
+
+    All tail errors come from one reverse cumulative sum. It adds in another
+    order than low_rank_error, so an error may differ in its last bits: every
+    k whose cumulative-sum error lies within TAIL_SLACK of delta is settled by
+    low_rank_error itself, in increasing k, which keeps the answer exact.
+    """
+    tails = np.sqrt(np.cumsum((f.sigma * f.sigma)[::-1])[::-1][1:])  # tails[k-1]: rank k
+    # tails is non-increasing, so a count of entries at or above a bound is
+    # the position of the first entry below it
+    slack = delta * TAIL_SLACK + 1e-150
+    lo = 1 + int(np.count_nonzero(tails >= delta + slack))
+    hi = 1 + int(np.count_nonzero(tails >= delta - slack))
+    return next((k for k in range(lo, hi) if low_rank_error(f, k) < delta), hi)
+
+
 def layer_spectrum(w, delta: float, cfg: RankLossConfig | None = None, norm_floor: float = 1e-12):
     """(sigma, delta_rank, loss) of one layer from a single values-only SVD.
 
@@ -236,8 +258,7 @@ def layer_spectrum(w, delta: float, cfg: RankLossConfig | None = None, norm_floo
         w, f = _spectrum(w, norm_floor)
     except DegenerateWeightError:
         return np.zeros(0), 0, None
-    # k = r always qualifies: its error is 0 < delta
-    drank = next(k for k in range(1, f.rank_bound + 1) if low_rank_error(f, k) < delta)
+    drank = _delta_rank(f, delta)
     loss = None
     if cfg is not None and frobenius_norm(w) > cfg.norm_floor:
         try:

@@ -2,9 +2,12 @@
 
 Masks are float64 arrays of exact 0.0/1.0 entries with the same shape as their
 weight tensor. Every mask update first splits a global keep budget across
-layers by sorting all effective magnitudes together, then per layer prunes the
-smallest active weights down to (1 - alpha_t) of the layer budget and regrows
-back up to the budget at the positions with the largest gradient magnitude.
+layers by selecting the largest effective magnitudes of all layers together,
+then per layer prunes the smallest active weights down to (1 - alpha_t) of the
+layer budget and regrows back up to the budget at the positions with the
+largest gradient magnitude. Each of these steps needs only the set of kept
+positions, never their order, so a partial-sort top-k selection with fixed
+tie rules (_top_k) does the work of a full stable sort.
 Regrown weights start at zero so the loss is untouched at the instant of
 growth.
 
@@ -102,6 +105,35 @@ def layer_budget(density: float, size: int) -> int:
     return min(size, max(1, math.ceil(density * size - 1e-9)))
 
 
+def _top_k(keys: np.ndarray, k: int, tiebreak: np.ndarray | None = None) -> np.ndarray:
+    """Flat indices of the k entries a stable descending sort of keys puts first.
+
+    Ties at the cut go to the larger tiebreak value (when given), then to the
+    smaller index, and NaN ranks below every number: the same set as
+    ``np.argsort(-keys, kind="stable")[:k]``, or as ``np.lexsort((-tiebreak,
+    -keys))[:k]`` with a tiebreak, found with one partition instead of a sort.
+    The indices come back unordered. keys must not hold -inf.
+    """
+    n = keys.shape[0]
+    if k >= n:
+        return np.arange(n)
+    if k <= 0:
+        return np.zeros(0, dtype=np.intp)
+    cut = np.partition(keys, n - k)
+    if np.isnan(cut[-1]):  # partition sorts NaN last, i.e. as the largest
+        keys = np.where(np.isnan(keys), -np.inf, keys)
+        cut = np.partition(keys, n - k)
+    threshold = cut[n - k]
+    above = np.flatnonzero(keys > threshold)
+    tied = np.flatnonzero(keys == threshold)
+    need = k - above.shape[0]
+    if tiebreak is None:
+        chosen = tied[:need]
+    else:
+        chosen = tied[_top_k(tiebreak[tied], need)]
+    return np.concatenate([above, chosen])
+
+
 def global_density_split(weights, density: float, masks=None) -> list[float]:
     """Split a global keep budget over layers by magnitude.
 
@@ -116,13 +148,11 @@ def global_density_split(weights, density: float, masks=None) -> list[float]:
     mags = np.concatenate([np.abs(np.asarray(w, dtype=np.float64)).ravel() for w in weights])
     total = mags.shape[0]
     budget = min(total, math.ceil(density * total - 1e-9))
+    active = None
     if masks is not None:
         active = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in masks])
-        order = np.lexsort((-active, -mags))  # primary: magnitude desc, then active first
-    else:
-        order = np.argsort(-mags, kind="stable")
     keep = np.zeros(total, dtype=bool)
-    keep[order[:budget]] = True
+    keep[_top_k(mags, budget, active)] = True
 
     densities = []
     start = 0
@@ -157,10 +187,8 @@ def prune_layer(w, m, keep_density: float) -> np.ndarray:
             f"prune keep budget {budget} exceeds active count {active.shape[0]}"
         )
     mags = np.abs(w.ravel()[active])
-    # stable sort on -|w|: ties keep the smaller flat index
-    order = np.argsort(-mags, kind="stable")
     new_mask = np.zeros(size, dtype=np.float64)
-    new_mask[active[order[:budget]]] = 1.0
+    new_mask[active[_top_k(mags, budget)]] = 1.0
     return new_mask.reshape(w.shape)
 
 
@@ -185,9 +213,8 @@ def grow_layer(dense_grad, m, target_density: float) -> np.ndarray:
     inactive = np.nonzero(flat == 0.0)[0]
     need = budget - active_count
     mags = np.abs(g.ravel()[inactive])
-    order = np.argsort(-mags, kind="stable")
     new_mask = flat.copy()
-    new_mask[inactive[order[:need]]] = 1.0
+    new_mask[inactive[_top_k(mags, need)]] = 1.0
     return new_mask.reshape(g.shape)
 
 
@@ -213,8 +240,8 @@ def update_masks(net, dense_grads, schedule: SparsitySchedule, grow: GrowSchedul
     densities = global_density_split(effective, density, masks=[p.mask for p in layers])
     alpha = grow_fraction(grow, schedule, t)
     new_masks = []
-    for p, grad, d in zip(layers, dense_grads, densities):
-        pruned = prune_layer(p.effective(), p.mask, (1.0 - alpha) * d)
+    for p, e, grad, d in zip(layers, effective, dense_grads, densities):
+        pruned = prune_layer(e, p.mask, (1.0 - alpha) * d)
         p.set_mask(pruned)  # zero stored values now so same-step regrowth restarts cold
         grown = grow_layer(grad, pruned, d)
         p.set_mask(grown)

@@ -167,17 +167,20 @@ def sgd_step(net: Network, grads, opt: OptimizerState, lr: float, momentum: floa
     """Momentum SGD with weight decay on active weights and biases.
 
     Masked positions receive no update and their stored values stay zero.
+    Weights, biases and momentum buffers are updated in place; a weight update
+    allocates one temporary.
     """
     for layer, (dw, db), wbuf, bbuf in zip(net.layers, grads, opt.weight_buffers, opt.bias_buffers):
-        m = layer.params.mask
-        g = (dw + weight_decay * layer.params.weight) * m
+        g = np.multiply(layer.params.weight, weight_decay)
+        g += dw
+        g *= layer.params.mask
         wbuf *= momentum
         wbuf += g
-        layer.params.weight = layer.params.weight - lr * wbuf
+        layer.params.weight -= np.multiply(wbuf, lr, out=g)
         gb = db + weight_decay * layer.bias
         bbuf *= momentum
         bbuf += gb
-        layer.bias = layer.bias - lr * bbuf
+        layer.bias -= lr * bbuf
     net.touch()
 
 
@@ -228,6 +231,7 @@ def train(
     last = sched.total_steps if stop_after is None else min(stop_after, sched.total_steps)
     metrics: list[MetricsRecord] = []
     step = start_step
+    sparsity_now = net.sparsity()  # masks change only in update_masks
     for step in range(start_step + 1, last + 1):
         idx = _batch_indices(cfg.seed, step, n, cfg.batch_size)
         batch = Batch(dataset.train_x[idx], dataset.train_y[idx])
@@ -246,6 +250,7 @@ def train(
             sparsity.update_masks(net, dense_grads, sched, cfg.grow, step)
             net.touch()
             opt.mask_pruned(net)
+            sparsity_now = net.sparsity()
         else:
             grads = backward(net, cache, batch.labels)
         sgd_step(net, grads, opt, lr, cfg.momentum, cfg.weight_decay)
@@ -257,7 +262,7 @@ def train(
         metrics.append(
             MetricsRecord(
                 step=step,
-                sparsity=net.sparsity(),
+                sparsity=sparsity_now,
                 task_loss=loss,
                 rank_loss=rank_loss,
                 avg_delta_rank=avg_rank,

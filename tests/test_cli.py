@@ -105,6 +105,19 @@ class TestCmdTrain:
         assert summary["delta"] == 0.5
         assert float(last["avg_delta_rank"]) == summary["avg_delta_rank"]
 
+    @pytest.mark.parametrize("command", ["train", "sweep-lambda"])
+    @pytest.mark.parametrize("delta", ["0", "-0.1", "nan"])
+    def test_nonpositive_delta_rejected_before_training(self, tmp_path, capsys, command, delta):
+        cfg_path, out = write_config(tmp_path)
+        argv = [command, "--config", str(cfg_path), "--delta", delta]
+        if command == "sweep-lambda":
+            argv += ["--lambdas", "0.1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --delta: must be positive" in capsys.readouterr().err
+        assert not list(out.rglob("metrics.csv"))
+
     def test_resume_with_wrong_config_rejected(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)
         assert main(["train", "--config", str(cfg_path), "--stop-after", "70"]) == 0

@@ -1,5 +1,8 @@
 """Config file parsing, validation line-anchoring, and round-trips."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from rankprune.config import (
@@ -135,3 +138,13 @@ def test_comments_and_blanks_ignored():
     )
     cfg = parse_config_text(text, "c.cfg")
     assert cfg.train.schedule.prune_steps == 200
+
+
+def test_readme_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    cfg = parse_config_text(blocks[0], "README.md")
+    assert cfg.model.input_shape == (64,)
+    assert cfg.train.schedule.prune_steps == 2800
+    assert cfg.report.delta == 0.1

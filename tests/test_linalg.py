@@ -56,6 +56,26 @@ class TestSvd:
                 if nz.size:
                     assert col[nz[0]] >= 0
 
+    @pytest.mark.parametrize("zero_rows,zero_cols", [(0, 0), (1, 0), (3, 0), (0, 2), (2, 3), (5, 1)])
+    def test_sign_rule_matches_column_loop(self, zero_rows, zero_cols):
+        # leading all-zero rows push each left vector's first nonzero entry down
+        rng = np.random.default_rng(zero_rows * 10 + zero_cols)
+        for shape in ((8, 6), (6, 8), (7, 7)):
+            w = rng.integers(-2, 3, size=shape).astype(float)
+            w[:zero_rows] = 0.0
+            w[:, :zero_cols] = 0.0
+            u, s, vt = np.linalg.svd(w, full_matrices=False)
+            v = vt.T.copy()
+            for i in range(s.shape[0]):  # the rule one column at a time
+                nz = np.nonzero(u[:, i])[0]
+                if nz.size and u[nz[0], i] < 0.0:
+                    u[:, i] = -u[:, i]
+                    v[:, i] = -v[:, i]
+            f = linalg.svd(w)
+            np.testing.assert_array_equal(f.u, u)
+            np.testing.assert_array_equal(f.v, v)
+            np.testing.assert_array_equal(f.sigma, s)
+
     def test_determinism_bitwise(self):
         w = np.random.default_rng(3).normal(size=(12, 7))
         f1 = linalg.svd(w)

@@ -193,6 +193,28 @@ class TestDeltaRank:
                     break
             assert rank.delta_rank(w, 0.1) == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_matches_low_rank_error_scan(self, m, n, seed):
+        # deltas on, just above and just below every tail error: where the
+        # cumulative-sum errors and low_rank_error could disagree
+        rng = np.random.default_rng(seed)
+        w = rng.integers(-2, 3, size=(m, n)).astype(float)
+        w[rng.random((m, n)) < 0.5] = 0.0
+        sigma, _, _ = rank.layer_spectrum(w, 0.1)
+        if sigma.size == 0:
+            return
+        f = linalg.SvdFactors(u=None, sigma=sigma, v=None)
+        errors = [linalg.low_rank_error(f, k) for k in range(f.rank_bound)]
+        deltas = [d for e in errors for d in (e, np.nextafter(e, 0.0), np.nextafter(e, 2.0)) if d > 0.0]
+        for delta in deltas + [float(x) for x in 1.0 - rng.random(5)]:
+            expected = next(k for k in range(1, f.rank_bound + 1) if linalg.low_rank_error(f, k) < delta)
+            assert rank.layer_spectrum(w, delta)[1] == expected
+
     def test_monotone_in_delta(self):
         w = np.random.default_rng(11).normal(size=(8, 8))
         deltas = np.linspace(0.01, 0.99, 25)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sort_reference as ref
 
 from rankprune import model, sparsity as sp
 from rankprune.sparsity import GrowSchedule, ScheduleError, SparsitySchedule
@@ -170,6 +171,67 @@ class TestGrowLayer:
         grown_mask = sp.grow_layer(g, pruned, 0.6)
         grown = set(np.nonzero((grown_mask - pruned).ravel() == 1.0)[0])
         assert kept.isdisjoint(grown)
+
+
+def tie_heavy(rng, size, zero_share, nan=False):
+    """Signed small integers, about zero_share of them zero: many exact ties in |x|."""
+    x = rng.integers(-3, 4, size=size).astype(float)
+    x[rng.random(size) < zero_share] = 0.0
+    if nan:
+        x[rng.random(size) < 0.1] = np.nan
+    return x
+
+
+TIE_CASES = [(seed, zero_share) for seed in range(6) for zero_share in (0.0, 0.5, 0.9)]
+
+
+class TestSelectionMatchesFullSort:
+    """Top-k selection picks the same set as the stable full sort it replaced."""
+
+    @pytest.mark.parametrize("seed,zero_share", TIE_CASES)
+    def test_global_density_split(self, seed, zero_share):
+        rng = np.random.default_rng(seed)
+        layers = [tie_heavy(rng, int(rng.integers(1, 30)), zero_share) for _ in range(3)]
+        masks = [(rng.random(l.size) < 0.5).astype(float) for l in layers]
+        total = sum(l.size for l in layers)
+        for budget in sorted({1, 2, total // 3, total // 2, total - 1, total} - {0}):
+            for m in (None, masks):
+                got = sp.global_density_split(layers, budget / total, masks=m)
+                assert got == ref.global_density_split(layers, budget / total, masks=m)
+
+    @pytest.mark.parametrize("seed,zero_share", TIE_CASES)
+    def test_prune_layer(self, seed, zero_share):
+        rng = np.random.default_rng(100 + seed)
+        n = 40
+        mask = (rng.random(n) < 0.7).astype(float)
+        mask[0] = 1.0
+        active = int(mask.sum())
+        for nan in (False, True):
+            w = tie_heavy(rng, n, zero_share, nan) * mask
+            for budget in sorted({1, 2, active // 2, active - 1, active} - {0}):
+                got = sp.prune_layer(w, mask, budget / n)
+                np.testing.assert_array_equal(got, ref.prune_layer(w, mask, budget / n))
+
+    @pytest.mark.parametrize("seed,zero_share", TIE_CASES)
+    def test_grow_layer(self, seed, zero_share):
+        rng = np.random.default_rng(200 + seed)
+        n = 40
+        mask = (rng.random(n) < 0.3).astype(float)
+        active = int(mask.sum())
+        for nan in (False, True):
+            g = tie_heavy(rng, n, zero_share, nan)
+            for budget in sorted({max(active, 1), active + 1, (active + n) // 2, n - 1, n}):
+                got = sp.grow_layer(g, mask, budget / n)
+                np.testing.assert_array_equal(got, ref.grow_layer(g, mask, budget / n))
+
+    def test_all_equal_keys_keep_smallest_indices(self):
+        mask = np.ones(6)
+        np.testing.assert_array_equal(sp.prune_layer(np.zeros(6), mask, 0.5), [1, 1, 1, 0, 0, 0])
+        np.testing.assert_array_equal(sp.grow_layer(np.zeros(6), np.zeros(6), 1 / 6), [1, 0, 0, 0, 0, 0])
+        # equal magnitudes: active entries win, whatever their position
+        layers, masks = [np.zeros(4), np.zeros(4)], [np.zeros(4), np.array([0.0, 0.0, 1.0, 1.0])]
+        assert sp.global_density_split(layers, 0.25) == [0.5, 0.25]
+        assert sp.global_density_split(layers, 0.25, masks=masks) == [0.25, 0.5]
 
 
 def toy_network(seed=0, sizes=((5, 6),)):

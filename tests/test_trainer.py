@@ -1,8 +1,12 @@
 """Combined objective, SGD, and the two-stage training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import sort_reference
 
+from rankprune import checkpoint as ckpt
 from rankprune import datasets, model, rank, sparsity as sp, trainer
 from rankprune.model import Batch
 from rankprune.rank import RankLossConfig
@@ -323,3 +327,27 @@ class TestTrain:
         for la, lb in zip(full.net.layers, net.layers):
             assert np.array_equal(la.params.weight, lb.params.weight)
             assert np.array_equal(la.params.mask, lb.params.mask)
+
+    @pytest.mark.parametrize("lam,alpha0,zero_features", [(0.1, 0.3, 0), (0.0, 0.9, 8)])
+    def test_selection_matches_full_sort_reference(self, tmp_path, monkeypatch, lam, alpha0, zero_features):
+        # masks every 10 steps up to sparsity 0.95: the same checkpoint bytes
+        # whether the mask updates select top-k sets or fully sort. Without the
+        # rank term, all-zero input features give exactly zero gradients and
+        # weights, so the tie rules decide part of the masks.
+        cfg = dataclasses.replace(
+            small_config(final_sparsity=0.95, prune=200, interval=10, total=250, lam=lam, weight_decay=0.001),
+            grow=GrowSchedule(alpha0),
+        )
+        data = small_dataset()
+        data.train_x[:, :zero_features] = 0.0
+
+        def run(name):
+            net = model.build_network(12, [("dense", 16), ("dense", 16)], 4, seed=9)
+            res = trainer.train(net, data, cfg)
+            path = tmp_path / name
+            ckpt.save_checkpoint(path, ckpt.state_from(res.net, res.optimizer, res.final_step, b"\0" * 32))
+            return path.read_bytes(), [m.csv_row() for m in res.metrics]
+
+        fast = run("fast.bin")
+        sort_reference.install(monkeypatch)
+        assert run("sorted.bin") == fast
