@@ -7,6 +7,7 @@ so resuming training reproduces an uninterrupted run bit for bit.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -59,30 +60,40 @@ def state_from(net: Network, opt: OptimizerState, step: int, config_digest: byte
 
 
 def restore_into(state: TrainState, net: Network, opt: OptimizerState) -> None:
-    """Install checkpointed tensors into an architecture-matched network."""
+    """Install checkpointed tensors into an architecture-matched network.
+
+    Every tensor is checked before any is installed: each one the model needs
+    is present with the model's shape, masks hold only 0 and 1, and no tensor
+    belongs to a layer the model does not have.
+    """
+    shapes = {}
     for i, layer in enumerate(net.layers):
-        try:
-            weight = state.tensors[f"layer{i}.weight"]
-            mask = state.tensors[f"layer{i}.mask"]
-            bias = state.tensors[f"layer{i}.bias"]
-            wbuf = state.tensors[f"layer{i}.momentum"]
-            bbuf = state.tensors[f"layer{i}.bias_momentum"]
-        except KeyError as exc:
-            raise CheckpointError(f"checkpoint is missing tensor {exc}") from None
-        if weight.shape != layer.params.weight.shape:
+        w, b = layer.params.weight.shape, layer.bias.shape
+        shapes.update({f"layer{i}.weight": w, f"layer{i}.mask": w, f"layer{i}.bias": b,
+                       f"layer{i}.momentum": w, f"layer{i}.bias_momentum": b})
+    for name in state.tensors:
+        if name not in shapes:
+            raise CheckpointError(f"checkpoint tensor {name!r} is not part of this model")
+    for name, shape in shapes.items():
+        if name not in state.tensors:
+            raise CheckpointError(f"checkpoint is missing tensor {name!r}")
+        if state.tensors[name].shape != shape:
             raise CheckpointError(
-                f"layer{i}.weight shape {weight.shape} does not match "
-                f"model shape {layer.params.weight.shape}"
+                f"{name} shape {state.tensors[name].shape} does not match model shape {shape}"
             )
-        layer.params.weight = weight.copy()
-        layer.params.mask = mask.astype(np.float64)
-        layer.bias = bias.copy()
-        opt.weight_buffers[i] = wbuf.copy()
-        opt.bias_buffers[i] = bbuf.copy()
+        if name.endswith(".mask") and not np.isin(state.tensors[name], (0, 1)).all():
+            raise CheckpointError(f"{name} holds entries other than 0 and 1")
+    for i, layer in enumerate(net.layers):
+        layer.params.weight = state.tensors[f"layer{i}.weight"].copy()
+        layer.params.mask = state.tensors[f"layer{i}.mask"].astype(np.float64)
+        layer.bias = state.tensors[f"layer{i}.bias"].copy()
+        opt.weight_buffers[i] = state.tensors[f"layer{i}.momentum"].copy()
+        opt.bias_buffers[i] = state.tensors[f"layer{i}.bias_momentum"].copy()
     net.touch()
 
 
 def save_checkpoint(path, state: TrainState) -> None:
+    """Write state to path atomically: a failed write leaves any earlier file whole."""
     chunks = [MAGIC]
     chunks.append(struct.pack("<IQ", FORMAT_VERSION, state.step))
     digest = state.config_digest
@@ -101,8 +112,17 @@ def save_checkpoint(path, state: TrainState) -> None:
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         chunks.append(little.tobytes())
-    with open(path, "wb") as f:
-        f.write(b"".join(chunks))
+    # a temporary file in the same directory, so that os.replace stays on one filesystem
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(b"".join(chunks))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 class _Reader:

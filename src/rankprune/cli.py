@@ -31,9 +31,15 @@ CsvError = ValueError
 def _build_dataset(cfg: ExperimentConfig) -> datasets.Dataset:
     if isinstance(cfg.dataset, SyntheticDatasetSpec):
         return datasets.make_blobs(cfg.dataset)
-    batches = datasets.load_idx_images(cfg.dataset.images, cfg.dataset.labels)
-    flatten = len(cfg.model.input_shape) == 1
-    return datasets.stack_batches(batches, flatten=flatten)
+    images = datasets.load_idx_images(cfg.dataset.images, cfg.dataset.labels)
+    sample, want = images.inputs.shape[1:], cfg.model.input_shape
+    flatten = len(want) == 1
+    if ((int(np.prod(sample)),) if flatten else sample) != want:
+        raise IdxError(
+            f"{cfg.dataset.images}: images are {'x'.join(map(str, sample))}, "
+            f"which does not fit [model] input {'x'.join(map(str, want))}"
+        )
+    return datasets.stack_batches(images, flatten=flatten)
 
 
 def _build_network(cfg: ExperimentConfig) -> model.Network:

@@ -4,15 +4,21 @@ The format is INI-flavored ([section] headers, key = value lines, # or ;
 comments) but parsed by hand so every validation error can point at the exact
 file line. parse(serialize(cfg)) round-trips losslessly; floats are written
 with repr so no precision is lost.
+
+The [dataset], [train] and [report] keys are declared once, in the tables
+below: parse and serialize walk the same rows, and each key takes its type and
+default from the dataclass field it sets.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter
 
-from .rank import DEFAULT_DELTA, RankLossConfig
-from .sparsity import GrowSchedule, SparsitySchedule
+from .rank import DEFAULT_DELTA
 from .trainer import TrainConfig
 from .datasets import SyntheticDatasetSpec
 
@@ -60,6 +66,38 @@ class ExperimentConfig:
     report: ReportSpec = field(default_factory=ReportSpec)
 
 
+# Rows are (file key, dataclass field), in serialized order. A dotted field
+# such as schedule.shape lies in a dataclass part of the section's class.
+_DATASET_KEYS = {
+    "synthetic": (SyntheticDatasetSpec, (
+        ("classes", "num_classes"),
+        ("features", "features"),
+        ("samples_per_class", "samples_per_class"),
+        ("cluster_spread", "cluster_spread"),
+        ("seed", "seed"),
+    )),
+    "idx": (IdxDatasetSpec, (("images", "images"), ("labels", "labels"))),
+}
+_TRAIN_KEYS = (
+    ("final_sparsity", "schedule.final_sparsity"),
+    ("prune_steps", "schedule.prune_steps"),
+    ("update_interval", "schedule.update_interval"),
+    ("total_steps", "schedule.total_steps"),
+    ("sparsity_schedule", "schedule.shape"),
+    ("alpha0", "grow.alpha0"),
+    ("lambda", "rank_cfg.lam"),
+    ("target_error", "rank_cfg.target_error"),
+    ("norm_floor", "rank_cfg.norm_floor"),
+    ("learning_rate", "learning_rate"),
+    ("momentum", "momentum"),
+    ("weight_decay", "weight_decay"),
+    ("batch_size", "batch_size"),
+    ("seed", "seed"),
+    ("cosine_lr", "cosine_lr"),
+)
+_REPORT_KEYS = (("out_dir", "out_dir"), ("delta", "delta"))
+
+
 def _parse_lines(text: str, path: str):
     """-> dict[section][key] = (value, line_no); duplicate keys rejected."""
     sections: dict[str, dict[str, tuple[str, int]]] = {}
@@ -86,6 +124,16 @@ def _parse_lines(text: str, path: str):
     return sections
 
 
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+# Field type name -> (parser, what an error says was expected)
+_TYPES = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (lambda text: _BOOLS[text.lower()], "true/false"),
+    "str": (str, "text"),
+}
+
+
 class _Section:
     def __init__(self, path: str, name: str, entries: dict):
         self.path = path
@@ -93,45 +141,21 @@ class _Section:
         self.entries = dict(entries)
         self.seen: set[str] = set()
 
-    def _raw(self, key: str, default=None):
+    def get(self, key: str, kind: str = "str", default=MISSING):
+        """The key's value parsed as kind (a _TYPES name); default if the key is absent."""
         self.seen.add(key)
         if key not in self.entries:
-            if default is not None:
-                return default, 0
-            raise ConfigError(f"{self.path}: missing [{self.name}] {key}")
-        return self.entries[key]
-
-    def _convert(self, key, conv, kindname, default):
-        value, lineno = self._raw(key, default)
-        if isinstance(value, str):
-            try:
-                return conv(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{self.path}:{lineno}: [{self.name}] {key}: expected {kindname}, got {value!r}"
-                ) from None
-        return value
-
-    def get_int(self, key, default=None):
-        return self._convert(key, int, "an integer", default)
-
-    def get_float(self, key, default=None):
-        return self._convert(key, float, "a number", default)
-
-    def get_str(self, key, default=None):
-        value, _ = self._raw(key, default)
-        return value
-
-    def get_bool(self, key, default=None):
-        def conv(s):
-            low = s.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(s)
-
-        return self._convert(key, conv, "true/false", default)
+            if default is MISSING:
+                raise ConfigError(f"{self.path}: missing [{self.name}] {key}")
+            return default
+        value, lineno = self.entries[key]
+        parse, expected = _TYPES[kind]
+        try:
+            return parse(value)
+        except (ValueError, KeyError):
+            raise ConfigError(
+                f"{self.path}:{lineno}: [{self.name}] {key}: expected {expected}, got {value!r}"
+            ) from None
 
     def error(self, key: str, message: str):
         _, lineno = self.entries.get(key, ("", 0))
@@ -146,8 +170,36 @@ class _Section:
             raise ConfigError(f"{self.path}:{lineno}: unknown [{self.name}] key {key!r}")
 
 
+# {field name: resolved type} of a dataclass; resolving string annotations is slow
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _read(sec: _Section, cls, keys, defaults=None) -> dict:
+    """The key table keys of dataclass cls as {field: value}, nested by dotted field.
+
+    Each key takes the type of its field, and the field's default unless
+    defaults gives another one for the key (MISSING makes the key required).
+    """
+    values = {}
+    for key, path in keys:
+        *parts, name = path.split(".")
+        owner, into = cls, values
+        for part in parts:
+            owner, into = _hints(owner)[part], into.setdefault(part, {})
+        kind = _hints(owner)[name].__name__
+        default = next(f.default for f in fields(owner) if f.name == name)
+        into[name] = sec.get(key, kind, (defaults or {}).get(key, default))
+    return values
+
+
+def _build(cls, values: dict):
+    """cls from _read's values; the nested ones build its dataclass parts first."""
+    hints = _hints(cls)
+    return cls(**{k: _build(hints[k], v) if isinstance(v, dict) else v for k, v in values.items()})
+
+
 def _parse_input_shape(sec: _Section) -> tuple:
-    raw = sec.get_str("input")
+    raw = sec.get("input")
     parts = [p for p in raw.lower().split("x") if p]
     try:
         dims = tuple(int(p) for p in parts)
@@ -159,7 +211,7 @@ def _parse_input_shape(sec: _Section) -> tuple:
 
 
 def _parse_layers(sec: _Section) -> tuple:
-    raw = sec.get_str("layers", default="")
+    raw = sec.get("layers", default="")
     specs = []
     if raw.strip():
         for part in raw.split(","):
@@ -190,26 +242,30 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
     msec = _Section(path, "model", sections["model"])
     input_shape = _parse_input_shape(msec)
     layers = _parse_layers(msec)
-    num_classes = msec.get_int("classes")
+    num_classes = msec.get("classes", "int")
     if num_classes < 2:
         raise msec.error("classes", f"need at least 2 classes, got {num_classes}")
     msec.check_unknown()
     model_spec = ModelSpec(input_shape=input_shape, layers=layers, num_classes=num_classes)
 
     dsec = _Section(path, "dataset", sections["dataset"])
-    kind = dsec.get_str("kind", default="synthetic").lower()
+    kind = dsec.get("kind", default="synthetic").lower()
+    if kind not in _DATASET_KEYS:
+        raise dsec.error("kind", f"unknown dataset kind {kind!r}")
+    spec_cls, keys = _DATASET_KEYS[kind]
+    # classes defaults to [model] classes; features and samples_per_class are
+    # required, whatever defaults the spec has for code that builds it directly
+    required = {"features": MISSING, "samples_per_class": MISSING}
+    values = _read(dsec, spec_cls, keys, {"classes": num_classes, **required})
+    try:
+        dataset = _build(spec_cls, values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: [dataset] {exc}") from None
     if kind == "synthetic":
-        try:
-            dataset = SyntheticDatasetSpec(
-                num_classes=dsec.get_int("classes", default=str(num_classes)),
-                features=dsec.get_int("features"),
-                samples_per_class=dsec.get_int("samples_per_class"),
-                cluster_spread=dsec.get_float("cluster_spread", default="1.0"),
-                seed=dsec.get_int("seed", default="0"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [dataset] {exc}") from None
-        if len(input_shape) == 1 and dataset.features != input_shape[0]:
+        if len(input_shape) != 1:
+            got = "x".join(str(d) for d in input_shape)
+            raise msec.error("input", f"a synthetic dataset needs a flat input N, got {got}")
+        if dataset.features != input_shape[0]:
             raise dsec.error(
                 "features",
                 f"dataset features {dataset.features} != model input {input_shape[0]}",
@@ -218,69 +274,27 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
             raise dsec.error(
                 "classes", f"dataset classes {dataset.num_classes} != model classes {num_classes}"
             )
-    elif kind == "idx":
-        dataset = IdxDatasetSpec(images=dsec.get_str("images"), labels=dsec.get_str("labels"))
-    else:
-        raise dsec.error("kind", f"unknown dataset kind {kind!r}")
     dsec.check_unknown()
 
     tsec = _Section(path, "train", sections["train"])
-    final_sparsity = tsec.get_float("final_sparsity")
+    values = _read(tsec, TrainConfig, _TRAIN_KEYS)
+    # checked again by SparsitySchedule; here so that the error names the line
+    final_sparsity, shape = values["schedule"]["final_sparsity"], values["schedule"]["shape"]
     if not 0.0 <= final_sparsity < 1.0:
         raise tsec.error("final_sparsity", f"must lie in [0,1), got {final_sparsity}")
-    shape = tsec.get_str("sparsity_schedule", default="cubic")
     if shape not in ("cubic", "linear"):
         raise tsec.error("sparsity_schedule", f"must be cubic or linear, got {shape!r}")
-    names = {
-        "prune_steps": tsec.get_int("prune_steps"),
-        "update_interval": tsec.get_int("update_interval"),
-        "total_steps": tsec.get_int("total_steps"),
-        "alpha0": tsec.get_float("alpha0", default="0.3"),
-        "lambda": tsec.get_float("lambda", default="0.1"),
-        "target_error": tsec.get_float("target_error", default="0.2"),
-        "norm_floor": tsec.get_float("norm_floor", default="1e-12"),
-        "learning_rate": tsec.get_float("learning_rate", default="0.1"),
-        "momentum": tsec.get_float("momentum", default="0.9"),
-        "weight_decay": tsec.get_float("weight_decay", default="0.0"),
-        "batch_size": tsec.get_int("batch_size", default="32"),
-        "seed": tsec.get_int("seed", default="0"),
-        "cosine_lr": tsec.get_bool("cosine_lr", default="false"),
-    }
     try:
-        train_cfg = TrainConfig(
-            schedule=SparsitySchedule(
-                final_sparsity=final_sparsity,
-                prune_steps=names["prune_steps"],
-                update_interval=names["update_interval"],
-                total_steps=names["total_steps"],
-                shape=shape,
-            ),
-            grow=GrowSchedule(alpha0=names["alpha0"]),
-            rank_cfg=RankLossConfig(
-                target_error=names["target_error"],
-                lam=names["lambda"],
-                norm_floor=names["norm_floor"],
-            ),
-            learning_rate=names["learning_rate"],
-            momentum=names["momentum"],
-            weight_decay=names["weight_decay"],
-            batch_size=names["batch_size"],
-            seed=names["seed"],
-            cosine_lr=names["cosine_lr"],
-        )
+        train_cfg = _build(TrainConfig, values)
     except ValueError as exc:
         raise ConfigError(f"{path}: [train] {exc}") from None
     tsec.check_unknown()
 
-    if "report" in sections:
-        rsec = _Section(path, "report", sections["report"])
-        delta = rsec.get_float("delta", default=DEFAULT_DELTA)
-        if not delta > 0.0:
-            raise rsec.error("delta", f"must be positive, got {delta}")
-        report = ReportSpec(out_dir=rsec.get_str("out_dir", default="runs/out"), delta=delta)
-        rsec.check_unknown()
-    else:
-        report = ReportSpec()
+    rsec = _Section(path, "report", sections.get("report", {}))
+    report = _build(ReportSpec, _read(rsec, ReportSpec, _REPORT_KEYS))
+    if not report.delta > 0.0:
+        raise rsec.error("delta", f"must be positive, got {report.delta}")
+    rsec.check_unknown()
 
     return ExperimentConfig(model=model_spec, dataset=dataset, train=train_cfg, report=report)
 
@@ -298,6 +312,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _lines(obj, keys) -> list[str]:
+    return [f"{key} = {_fmt(attrgetter(path)(obj))}" for key, path in keys]
+
+
 def serialize_config(cfg: ExperimentConfig, include_report: bool = True) -> str:
     m = cfg.model
     input_str = "x".join(str(d) for d in m.input_shape)
@@ -307,6 +325,7 @@ def serialize_config(cfg: ExperimentConfig, include_report: bool = True) -> str:
             layer_strs.append(f"dense:{spec[1]}")
         else:
             layer_strs.append(f"conv:{spec[1]}x{spec[2]}x{spec[3]}")
+    kind = "synthetic" if isinstance(cfg.dataset, SyntheticDatasetSpec) else "idx"
     lines = [
         "[model]",
         f"input = {input_str}",
@@ -314,46 +333,14 @@ def serialize_config(cfg: ExperimentConfig, include_report: bool = True) -> str:
         f"classes = {m.num_classes}",
         "",
         "[dataset]",
-    ]
-    d = cfg.dataset
-    if isinstance(d, SyntheticDatasetSpec):
-        lines += [
-            "kind = synthetic",
-            f"classes = {d.num_classes}",
-            f"features = {d.features}",
-            f"samples_per_class = {d.samples_per_class}",
-            f"cluster_spread = {_fmt(d.cluster_spread)}",
-            f"seed = {d.seed}",
-        ]
-    else:
-        lines += ["kind = idx", f"images = {d.images}", f"labels = {d.labels}"]
-    t = cfg.train
-    lines += [
+        f"kind = {kind}",
+        *_lines(cfg.dataset, _DATASET_KEYS[kind][1]),
         "",
         "[train]",
-        f"final_sparsity = {_fmt(t.schedule.final_sparsity)}",
-        f"prune_steps = {t.schedule.prune_steps}",
-        f"update_interval = {t.schedule.update_interval}",
-        f"total_steps = {t.schedule.total_steps}",
-        f"sparsity_schedule = {t.schedule.shape}",
-        f"alpha0 = {_fmt(t.grow.alpha0)}",
-        f"lambda = {_fmt(t.rank_cfg.lam)}",
-        f"target_error = {_fmt(t.rank_cfg.target_error)}",
-        f"norm_floor = {_fmt(t.rank_cfg.norm_floor)}",
-        f"learning_rate = {_fmt(t.learning_rate)}",
-        f"momentum = {_fmt(t.momentum)}",
-        f"weight_decay = {_fmt(t.weight_decay)}",
-        f"batch_size = {t.batch_size}",
-        f"seed = {t.seed}",
-        f"cosine_lr = {_fmt(t.cosine_lr)}",
+        *_lines(cfg.train, _TRAIN_KEYS),
     ]
     if include_report:
-        lines += [
-            "",
-            "[report]",
-            f"out_dir = {cfg.report.out_dir}",
-            f"delta = {_fmt(cfg.report.delta)}",
-        ]
+        lines += ["", "[report]", *_lines(cfg.report, _REPORT_KEYS)]
     lines.append("")
     return "\n".join(lines)
 

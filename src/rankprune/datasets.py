@@ -101,11 +101,11 @@ def _read_exact(f, n: int, path: str, what: str) -> bytes:
     return data
 
 
-def load_idx_images(images_path, labels_path) -> list[Batch]:
-    """Parse big-endian IDX image/label files into one Batch per image.
+def load_idx_images(images_path, labels_path) -> Batch:
+    """Parse big-endian IDX image/label files into one Batch holding every image.
 
-    Images arrive as (1, 1, rows, cols) float64 scaled to [0, 1]; labels as a
-    single int64. Magic numbers, lengths, and image/label counts are all
+    Images arrive as (count, 1, rows, cols) float64 scaled to [0, 1]; labels as
+    (count,) int64. Magic numbers, lengths, and image/label counts are all
     checked, each failure with its own error type.
     """
     with open(images_path, "rb") as f:
@@ -137,20 +137,18 @@ def load_idx_images(images_path, labels_path) -> list[Batch]:
         raise IdxCountMismatchError(
             f"{images_path}: {count} images but {label_count} labels"
         )
-    return [
-        Batch(inputs=images[i : i + 1], labels=labels[i : i + 1]) for i in range(count)
-    ]
+    return Batch(inputs=images, labels=labels)
 
 
-def stack_batches(batches: list[Batch], eval_fraction: float = 0.2, flatten: bool = False) -> Dataset:
-    """Stack per-image batches into train/eval arrays (deterministic tail split)."""
-    if not batches:
-        raise ValueError("no batches to stack")
-    x = np.concatenate([b.inputs for b in batches])
-    y = np.concatenate([b.labels for b in batches])
+def stack_batches(batch: Batch, eval_fraction: float = 0.2, flatten: bool = False) -> Dataset:
+    """Split a batch of images into train/eval arrays (deterministic tail split)."""
+    x, y = batch.inputs, batch.labels
+    count = x.shape[0]
+    if count == 0:
+        raise ValueError("no images to stack")
     if flatten:
-        x = x.reshape(x.shape[0], -1)
-    n_eval = max(1, int(round(len(batches) * eval_fraction)))
-    n_eval = min(n_eval, len(batches) - 1) if len(batches) > 1 else 0
-    cut = x.shape[0] - n_eval
+        x = x.reshape(count, -1)
+    n_eval = max(1, int(round(count * eval_fraction)))
+    n_eval = min(n_eval, count - 1) if count > 1 else 0
+    cut = count - n_eval
     return Dataset(x[:cut], y[:cut], x[cut:], y[cut:])

@@ -102,3 +102,75 @@ def test_shape_mismatch_on_restore(tmp_path):
     other = model.build_network(7, [("dense", 5)], 3, seed=0)
     with pytest.raises(ckpt.CheckpointError):
         ckpt.restore_into(ckpt.load_checkpoint(path), other, OptimizerState.zeros_like(other))
+
+
+@pytest.mark.parametrize(
+    "name, tensor",
+    [
+        ("layer0.mask", np.ones((3, 3), dtype=np.uint8)),
+        ("layer0.bias", np.zeros(7)),
+        ("layer0.momentum", np.zeros((5, 7))),
+        ("layer0.bias_momentum", np.zeros(4)),
+    ],
+)
+def test_restore_rejects_wrong_shape(name, tensor):
+    net, opt, state = make_state()
+    state.tensors[name] = tensor
+    fresh = make_net()
+    with pytest.raises(ckpt.CheckpointError) as err:
+        ckpt.restore_into(state, fresh, OptimizerState.zeros_like(fresh))
+    assert name in str(err.value)
+    assert "shape" in str(err.value)
+    # every tensor is checked before any is installed
+    for a, b in zip(fresh.layers, make_net().layers):
+        assert np.array_equal(a.params.mask, b.params.mask)
+        assert np.array_equal(a.bias, b.bias)
+
+
+def test_restore_rejects_mask_values_outside_0_1():
+    net, opt, state = make_state()
+    mask = state.tensors["layer0.mask"].copy()
+    mask.ravel()[1] = 2
+    state.tensors["layer0.mask"] = mask
+    with pytest.raises(ckpt.CheckpointError) as err:
+        ckpt.restore_into(state, make_net(), OptimizerState.zeros_like(make_net()))
+    assert "layer0.mask" in str(err.value)
+
+
+def test_restore_rejects_tensor_of_missing_layer():
+    net, opt, state = make_state()
+    state.tensors["layer9.weight"] = np.zeros((5, 6))
+    with pytest.raises(ckpt.CheckpointError) as err:
+        ckpt.restore_into(state, make_net(), OptimizerState.zeros_like(make_net()))
+    assert "layer9.weight" in str(err.value)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    _, _, state = make_state(step=5)
+    path = tmp_path / "c.bin"
+    ckpt.save_checkpoint(path, state)
+    before = path.read_bytes()
+
+    class DiskFull:
+        """A file that takes the first 100 bytes of a write, then fails."""
+
+        def __init__(self, name, mode):
+            self.f = open(name, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[:100])
+            self.f.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(ckpt, "open", DiskFull, raising=False)
+    _, _, newer = make_state(step=6)
+    with pytest.raises(OSError):
+        ckpt.save_checkpoint(path, newer)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]

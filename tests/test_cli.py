@@ -2,7 +2,9 @@
 
 import json
 
+import numpy as np
 import pytest
+from test_datasets import write_idx_pair
 
 from rankprune.cli import main
 
@@ -31,6 +33,26 @@ seed = 1
 [report]
 out_dir = {out}
 delta = 0.1
+"""
+
+IDX_CONFIG = """\
+[model]
+{model}
+classes = 4
+
+[dataset]
+kind = idx
+images = {images}
+labels = {labels}
+
+[train]
+final_sparsity = 0.5
+prune_steps = 20
+update_interval = 10
+total_steps = 30
+
+[report]
+out_dir = {out}
 """
 
 
@@ -117,6 +139,23 @@ class TestCmdTrain:
         assert exc.value.code == 2
         assert "argument --delta: must be positive" in capsys.readouterr().err
         assert not list(out.rglob("metrics.csv"))
+
+    @pytest.mark.parametrize("side", [10, 12])
+    @pytest.mark.parametrize("model", ["input = 1x10x10\nlayers = conv:4x3x3", "input = 100"])
+    def test_idx_images_must_fit_model_input(self, tmp_path, capsys, model, side):
+        pixels = np.random.default_rng(0).integers(0, 256, (40, side, side), dtype=np.uint8)
+        images, labels = write_idx_pair(tmp_path, pixels, [i % 4 for i in range(40)])
+        cfg_path = tmp_path / "idx.cfg"
+        cfg_path.write_text(IDX_CONFIG.format(model=model, images=images, labels=labels, out=tmp_path / "run"))
+        code = main(["train", "--config", str(cfg_path)])
+        if side == 10:
+            assert code == 0
+            return
+        assert code == 1
+        err = capsys.readouterr().err
+        want = model.split("\n")[0].removeprefix("input = ")
+        assert f"{images}: images are 1x12x12, which does not fit [model] input {want}" in err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
 
     def test_resume_with_wrong_config_rejected(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)

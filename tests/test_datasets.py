@@ -63,18 +63,18 @@ class TestIdx:
             4, dtype=np.uint8
         ).reshape(4, 1, 1) * 10
         ipath, lpath = write_idx_pair(tmp_path, pixels, [3, 1, 0, 2])
-        batches = datasets.load_idx_images(ipath, lpath)
-        assert len(batches) == 4
-        for i, b in enumerate(batches):
-            assert b.inputs.shape == (1, 1, 2, 3)
-            np.testing.assert_allclose(b.inputs[0, 0], pixels[i] / 255.0)
-            assert b.labels[0] == [3, 1, 0, 2][i]
+        batch = datasets.load_idx_images(ipath, lpath)
+        assert batch.inputs.shape == (4, 1, 2, 3)
+        assert batch.labels.shape == (4,)
+        for i in range(4):
+            np.testing.assert_allclose(batch.inputs[i, 0], pixels[i] / 255.0)
+            assert batch.labels[i] == [3, 1, 0, 2][i]
 
     def test_scaling_to_unit_interval(self, tmp_path):
         pixels = np.full((2, 1, 1), 255, dtype=np.uint8)
         ipath, lpath = write_idx_pair(tmp_path, pixels, [0, 1])
-        batches = datasets.load_idx_images(ipath, lpath)
-        assert batches[0].inputs[0, 0, 0, 0] == 1.0
+        batch = datasets.load_idx_images(ipath, lpath)
+        assert batch.inputs[0, 0, 0, 0] == 1.0
 
     def test_wrong_image_magic(self, tmp_path):
         pixels = np.zeros((1, 2, 2), dtype=np.uint8)
@@ -103,8 +103,8 @@ class TestIdx:
     def test_stack_batches(self, tmp_path):
         pixels = np.arange(5 * 2 * 2, dtype=np.uint8).reshape(5, 2, 2)
         ipath, lpath = write_idx_pair(tmp_path, pixels, [0, 1, 0, 1, 0])
-        batches = datasets.load_idx_images(ipath, lpath)
-        d = datasets.stack_batches(batches, eval_fraction=0.2, flatten=True)
+        batch = datasets.load_idx_images(ipath, lpath)
+        d = datasets.stack_batches(batch, eval_fraction=0.2, flatten=True)
         assert d.train_x.shape == (4, 4)
         assert d.eval_x.shape == (1, 4)
         np.testing.assert_allclose(d.train_x[0], pixels[0].ravel() / 255.0)
