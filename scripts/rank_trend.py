@@ -37,7 +37,8 @@ def run(data, seed, lam, final_sparsity, delta):
         seed=seed,
     )
     res = trainer.train(net, data, cfg, delta=delta)
-    return trainer.average_delta_rank(res.net, delta), res.metrics[-1].eval_acc
+    last = res.metrics[-1]
+    return last.avg_delta_rank, last.eval_acc
 
 
 def main():

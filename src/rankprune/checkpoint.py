@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network
+from .model import Layer, MaskedTensor, Network
 from .trainer import OptimizerState
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "load_checkpoint",
     "state_from",
     "restore_into",
+    "network_from",
 ]
 
 MAGIC = b"RNKPRUNE"
@@ -41,10 +42,14 @@ class TrainState:
     step: int
     config_digest: bytes
     tensors: dict  # name -> ndarray
+    path: str | None = None  # the file it was loaded from, named in every error
+
+    def error(self, message: str) -> CheckpointError:
+        return CheckpointError(message if self.path is None else f"{self.path}: {message}")
 
 
 def state_from(net: Network, opt: OptimizerState, step: int, config_digest: bytes) -> TrainState:
-    """A TrainState holding the network's and optimizer's live arrays, not copies.
+    """A TrainState holding the live arrays of net and opt; masks are uint8 copies.
 
     sgd_step updates weights, biases and momentum in place, so save the state
     before training on.
@@ -62,34 +67,57 @@ def state_from(net: Network, opt: OptimizerState, step: int, config_digest: byte
 def restore_into(state: TrainState, net: Network, opt: OptimizerState) -> None:
     """Install checkpointed tensors into an architecture-matched network.
 
-    Every tensor is checked before any is installed: each one the model needs
-    is present with the model's shape, masks hold only 0 and 1, and no tensor
+    Every tensor is checked before any is installed: each one state_from would
+    write for this model is present with the model's shape, masks hold only 0
+    and 1, weights and momentum are 0 wherever the mask is 0, and no tensor
     belongs to a layer the model does not have.
     """
-    shapes = {}
-    for i, layer in enumerate(net.layers):
-        w, b = layer.params.weight.shape, layer.bias.shape
-        shapes.update({f"layer{i}.weight": w, f"layer{i}.mask": w, f"layer{i}.bias": b,
-                       f"layer{i}.momentum": w, f"layer{i}.bias_momentum": b})
+    live = state_from(net, opt, state.step, state.config_digest).tensors
     for name in state.tensors:
-        if name not in shapes:
-            raise CheckpointError(f"checkpoint tensor {name!r} is not part of this model")
-    for name, shape in shapes.items():
-        if name not in state.tensors:
-            raise CheckpointError(f"checkpoint is missing tensor {name!r}")
-        if state.tensors[name].shape != shape:
-            raise CheckpointError(
-                f"{name} shape {state.tensors[name].shape} does not match model shape {shape}"
-            )
-        if name.endswith(".mask") and not np.isin(state.tensors[name], (0, 1)).all():
-            raise CheckpointError(f"{name} holds entries other than 0 and 1")
+        if name not in live:
+            raise state.error(f"checkpoint tensor {name!r} is not part of this model")
+    for name, want in live.items():
+        got = state.tensors.get(name)
+        if got is None:
+            raise state.error(f"checkpoint is missing tensor {name!r}")
+        if got.shape != want.shape:
+            raise state.error(f"{name} shape {got.shape} does not match model shape {want.shape}")
+        if name.endswith(".mask") and not np.isin(got, (0, 1)).all():
+            raise state.error(f"{name} holds entries other than 0 and 1")
+    for i in range(len(net.layers)):
+        pruned = state.tensors[f"layer{i}.mask"] == 0
+        for name in (f"layer{i}.weight", f"layer{i}.momentum"):
+            if state.tensors[name][pruned].any():
+                raise state.error(f"{name} is nonzero where layer{i}.mask is 0")
     for i, layer in enumerate(net.layers):
-        layer.params.weight = state.tensors[f"layer{i}.weight"].copy()
         layer.params.mask = state.tensors[f"layer{i}.mask"].astype(np.float64)
-        layer.bias = state.tensors[f"layer{i}.bias"].copy()
-        opt.weight_buffers[i] = state.tensors[f"layer{i}.momentum"].copy()
-        opt.bias_buffers[i] = state.tensors[f"layer{i}.bias_momentum"].copy()
+    for name, arr in live.items():
+        if not name.endswith(".mask"):
+            np.copyto(arr, state.tensors[name])
     net.touch()
+
+
+def network_from(state: TrainState) -> Network:
+    """The network a checkpoint describes, restored through restore_into.
+
+    Layer i is dense if layer{i}.weight is 2-D and conv2d if it is 4-D, and an
+    empty weight is rejected; all layers but the last are ReLU, as
+    build_network makes them.
+    """
+    layers = []
+    while (weight := state.tensors.get(f"layer{len(layers)}.weight")) is not None:
+        name = f"layer{len(layers)}"
+        if weight.ndim not in (2, 4) or weight.size == 0:
+            raise state.error(f"{name}.weight has shape {weight.shape}, not a nonempty 2-D (dense) or 4-D (conv2d) one")
+        kind = "dense" if weight.ndim == 2 else "conv2d"
+        params = MaskedTensor(np.zeros(weight.shape), np.ones(weight.shape))
+        layers.append(Layer(kind, params, np.zeros(weight.shape[0]), "relu", name))
+    if not layers:
+        raise state.error("no layer tensors found")
+    layers[-1].activation = "none"
+    net = Network(layers, num_classes=layers[-1].params.weight.shape[0])
+    restore_into(state, net, OptimizerState.zeros_like(net))
+    return net
 
 
 def save_checkpoint(path, state: TrainState) -> None:
@@ -169,4 +197,4 @@ def load_checkpoint(path) -> TrainState:
         tensors[name] = arr
     if r.pos != len(data):
         raise CheckpointError(f"{path}: trailing bytes after last tensor")
-    return TrainState(step=step, config_digest=digest, tensors=tensors)
+    return TrainState(step=step, config_digest=digest, tensors=tensors, path=str(path))

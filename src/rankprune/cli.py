@@ -18,9 +18,8 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import datasets, model, rank, svgplot, trainer
-from .config import ConfigError, ExperimentConfig, config_hash, parse_config
+from .config import ExperimentConfig, config_hash, parse_config
 from .datasets import IdxError, SyntheticDatasetSpec
-from .sparsity import ScheduleError
 from .trainer import MetricsRecord
 
 __all__ = ["main"]
@@ -52,13 +51,15 @@ def _write_metrics(path: Path, records: list[MetricsRecord]) -> None:
 
 
 def _final_summary(cfg: ExperimentConfig, result: trainer.TrainResult) -> dict:
-    delta = cfg.report.delta
+    """The run's end state. avg_delta_rank and eval_accuracy are the last metrics
+    row's, so both are None when the run stopped between record steps."""
+    last = result.metrics[-1] if result.metrics else None
     return {
         "final_step": result.final_step,
         "final_sparsity": result.net.sparsity(),
-        "eval_accuracy": result.metrics[-1].eval_acc if result.metrics else None,
-        "avg_delta_rank": trainer.average_delta_rank(result.net, delta),
-        "delta": delta,
+        "eval_accuracy": last.eval_acc if last else None,
+        "avg_delta_rank": last.avg_delta_rank if last else None,
+        "delta": cfg.report.delta,
         "config_sha256": config_hash(cfg).hex(),
     }
 
@@ -73,9 +74,7 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path, stop_after=None, resume=No
     if resume is not None:
         state = ckpt.load_checkpoint(resume)
         if state.config_digest != digest:
-            raise ckpt.CheckpointError(
-                f"{resume}: checkpoint config digest does not match this config"
-            )
+            raise state.error("checkpoint config digest does not match this config")
         ckpt.restore_into(state, net, opt)
         start_step = state.step
     result = trainer.train(net, data, cfg.train, start_step=start_step, optimizer=opt,
@@ -154,40 +153,26 @@ def cmd_sweep_lambda(args) -> int:
     return 0
 
 
-def _layer_report(name: str, weight: np.ndarray, mask: np.ndarray, delta: float) -> dict:
-    mat = (weight * mask).reshape(weight.shape[0], -1)
-    size = int(mask.size)
-    active = int(np.count_nonzero(mask))
-    sigma, drank, _ = rank.layer_spectrum(mat, delta)
+def _layer_report(layer: model.Layer, delta: float) -> dict:
+    sigma, drank, _ = rank.layer_spectrum(model.reshape_to_matrix(layer), delta)
     return {
-        "layer": name,
-        "shape": list(weight.shape),
-        "sparsity": 1.0 - active / size,
+        "layer": layer.name,
+        "shape": list(layer.params.weight.shape),
+        "sparsity": 1.0 - layer.params.active_count / layer.params.weight.size,
         "delta_rank": drank,
         "spectrum": [float(s) for s in sigma],
     }
 
 
 def _analyze_state(path: str, delta: float) -> dict:
+    """Per-layer report of a checkpoint, validated as train --resume validates it."""
     state = ckpt.load_checkpoint(path)
-    layers = []
-    total = 0
-    active = 0
-    i = 0
-    while f"layer{i}.weight" in state.tensors:
-        weight = state.tensors[f"layer{i}.weight"]
-        mask = state.tensors[f"layer{i}.mask"].astype(np.float64)
-        layers.append(_layer_report(f"layer{i}", weight, mask, delta))
-        total += mask.size
-        active += int(np.count_nonzero(mask))
-        i += 1
-    if not layers:
-        raise ckpt.CheckpointError(f"{path}: no layer tensors found")
+    net = ckpt.network_from(state)
     return {
         "checkpoint": str(path),
         "step": state.step,
-        "global_sparsity": 1.0 - active / total,
-        "layers": layers,
+        "global_sparsity": net.sparsity(),
+        "layers": [_layer_report(layer, delta) for layer in net.layers],
     }
 
 
@@ -336,10 +321,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, IdxError, ckpt.CheckpointError, ScheduleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every input error of this package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -106,7 +106,8 @@ def load_idx_images(images_path, labels_path) -> Batch:
 
     Images arrive as (count, 1, rows, cols) float64 scaled to [0, 1]; labels as
     (count,) int64. Magic numbers, lengths, and image/label counts are all
-    checked, each failure with its own error type.
+    checked, each failure with its own error type; an images file with no
+    images raises IdxError.
     """
     with open(images_path, "rb") as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, str(images_path), "image magic"))
@@ -117,6 +118,8 @@ def load_idx_images(images_path, labels_path) -> Batch:
         count, rows, cols = struct.unpack(
             ">III", _read_exact(f, 12, str(images_path), "image header")
         )
+        if count == 0:
+            raise IdxError(f"{images_path}: holds no images")
         raw = _read_exact(f, count * rows * cols, str(images_path), "pixel data")
     pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
     images = pixels.reshape(count, 1, rows, cols)
@@ -144,8 +147,6 @@ def stack_batches(batch: Batch, eval_fraction: float = 0.2, flatten: bool = Fals
     """Split a batch of images into train/eval arrays (deterministic tail split)."""
     x, y = batch.inputs, batch.labels
     count = x.shape[0]
-    if count == 0:
-        raise ValueError("no images to stack")
     if flatten:
         x = x.reshape(count, -1)
     n_eval = max(1, int(round(count * eval_fraction)))

@@ -174,3 +174,50 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
         ckpt.save_checkpoint(path, newer)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
+
+
+@pytest.mark.parametrize("name", ["layer0.weight", "layer0.momentum"])
+def test_restore_rejects_nonzero_at_masked_position(name):
+    net, opt, state = make_state()
+    pruned = np.flatnonzero(state.tensors["layer0.mask"] == 0)[0]
+    tensor = state.tensors[name].copy()
+    tensor.ravel()[pruned] = 0.5
+    state.tensors[name] = tensor
+    with pytest.raises(ckpt.CheckpointError) as err:
+        ckpt.restore_into(state, make_net(), OptimizerState.zeros_like(make_net()))
+    assert f"{name} is nonzero where layer0.mask is 0" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "input_shape, specs",
+    [((6,), [("dense", 5)]), ((2, 4, 4), [("conv2d", 3, 3, 3), ("dense", 5)])],
+    ids=["dense", "conv"],
+)
+def test_network_from_rebuilds_the_network(input_shape, specs):
+    net = model.build_network(input_shape, specs, 4, seed=2)
+    for layer in net.layers:
+        w = layer.params.weight
+        layer.params.set_mask(np.arange(w.size).reshape(w.shape) % 3 != 0)
+    rebuilt = ckpt.network_from(ckpt.state_from(net, OptimizerState.zeros_like(net), 9, bytes(32)))
+    assert [l.name for l in rebuilt.layers] == [f"layer{i}" for i in range(len(net.layers))]
+    assert [(l.kind, l.activation) for l in rebuilt.layers] == [(l.kind, l.activation) for l in net.layers]
+    assert rebuilt.num_classes == net.num_classes
+    assert rebuilt.sparsity() == net.sparsity()
+    batch = model.Batch(np.random.default_rng(3).random((4, *input_shape)), np.zeros(4, dtype=int))
+    assert np.array_equal(model.forward(rebuilt, batch)[0], model.forward(net, batch)[0])
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 1), (3,), (0, 5)])
+def test_network_from_rejects_weight_of_other_shape(shape):
+    _, _, state = make_state()
+    state.tensors["layer1.weight"] = np.zeros(shape)
+    with pytest.raises(ckpt.CheckpointError) as err:
+        ckpt.network_from(state)
+    assert f"layer1.weight has shape {shape}" in str(err.value)
+
+
+def test_network_from_needs_layer_tensors():
+    state = ckpt.TrainState(step=0, config_digest=bytes(32), tensors={}, path="empty.bin")
+    with pytest.raises(ckpt.CheckpointError) as err:
+        ckpt.network_from(state)
+    assert str(err.value) == "empty.bin: no layer tensors found"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from test_datasets import write_idx_pair
 
+from rankprune import checkpoint as ckpt
 from rankprune.cli import main
 
 CONFIG = """\
@@ -61,6 +62,57 @@ def write_config(tmp_path, out_name="run", extra=""):
     path = tmp_path / f"{out_name}.cfg"
     path.write_text(CONFIG.format(out=out) + extra, encoding="utf-8")
     return path, out
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """(config, checkpoint) of one full run of CONFIG, shared by the module."""
+    cfg_path, out = write_config(tmp_path_factory.mktemp("trained"))
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    return cfg_path, out / "checkpoint.bin"
+
+
+def pruned_entry(tensors):
+    """A copy of layer0.weight that is nonzero at one position layer0.mask prunes."""
+    weight = tensors["layer0.weight"].copy()
+    weight.ravel()[np.flatnonzero(tensors["layer0.mask"] == 0)[0]] = 0.25
+    return weight
+
+
+def mask_holding_2(tensors):
+    mask = tensors["layer0.mask"].copy()
+    mask.ravel()[0] = 2
+    return mask
+
+
+BAD_CHECKPOINTS = {
+    "mask shape": ("layer0.mask", lambda t: np.ones((3, 3), dtype=np.uint8)),
+    "bias shape": ("layer0.bias", lambda t: np.zeros(7)),
+    "stray tensor": ("layer7.weight", lambda t: np.zeros((16, 12))),
+    "mask value 2": ("layer0.mask", mask_holding_2),
+    "weight at masked position": ("layer0.weight", pruned_entry),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "resume"])
+@pytest.mark.parametrize("case", BAD_CHECKPOINTS)
+def test_bad_checkpoint_names_file_and_tensor(tmp_path, capsys, trained, case, command):
+    cfg_path, good = trained
+    state = ckpt.load_checkpoint(good)
+    name, make = BAD_CHECKPOINTS[case]
+    state.tensors[name] = make(state.tensors)
+    bad = tmp_path / "bad.bin"
+    ckpt.save_checkpoint(bad, state)
+    capsys.readouterr()
+    if command == "analyze":
+        argv = ["analyze", str(bad)]
+    else:
+        argv = ["train", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--resume", str(bad)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert name in captured.err
 
 
 class TestCmdTrain:
@@ -157,6 +209,22 @@ class TestCmdTrain:
         assert f"{images}: images are 1x12x12, which does not fit [model] input {want}" in err
         assert not (tmp_path / "run" / "metrics.csv").exists()
 
+    def test_stop_between_record_steps_gives_null_summary_fields(self, tmp_path):
+        cfg_path, out = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path), "--stop-after", "70"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final_step"] == 70
+        assert summary["avg_delta_rank"] is None
+        assert summary["eval_accuracy"] is None
+
+    def test_empty_idx_pair_names_images_file(self, tmp_path, capsys):
+        images, labels = write_idx_pair(tmp_path, np.zeros((0, 4, 4), dtype=np.uint8), [])
+        cfg_path = tmp_path / "idx.cfg"
+        cfg_path.write_text(IDX_CONFIG.format(model="input = 16\nlayers = dense:8", images=images,
+                                              labels=labels, out=tmp_path / "run"))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert f"error: {images}: holds no images" in capsys.readouterr().err
+
     def test_resume_with_wrong_config_rejected(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)
         assert main(["train", "--config", str(cfg_path), "--stop-after", "70"]) == 0
@@ -251,6 +319,23 @@ class TestCmdAnalyze:
             summary["final_sparsity"]
         )
         ranks = [layer["delta_rank"] for layer in report["checkpoints"][0]["layers"]]
+        assert sum(ranks) / len(ranks) == summary["avg_delta_rank"]
+
+    def test_conv_checkpoint_matches_training(self, tmp_path, capsys):
+        pixels = np.random.default_rng(0).integers(0, 256, (40, 10, 10), dtype=np.uint8)
+        images, labels = write_idx_pair(tmp_path, pixels, [i % 4 for i in range(40)])
+        cfg_path, out = tmp_path / "idx.cfg", tmp_path / "run"
+        cfg_path.write_text(IDX_CONFIG.format(model="input = 1x10x10\nlayers = conv:4x3x3", images=images,
+                                              labels=labels, out=out))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        capsys.readouterr()
+        assert main(["analyze", str(out / "checkpoint.bin")]) == 0
+        report = json.loads(capsys.readouterr().out)["checkpoints"][0]
+        assert report["step"] == summary["final_step"]
+        assert report["global_sparsity"] == summary["final_sparsity"]
+        assert [layer["shape"] for layer in report["layers"]] == [[4, 1, 3, 3], [4, 400]]
+        ranks = [layer["delta_rank"] for layer in report["layers"]]
         assert sum(ranks) / len(ranks) == summary["avg_delta_rank"]
 
     def test_two_checkpoints_side_by_side(self, tmp_path, capsys):
