@@ -23,6 +23,7 @@ __all__ = [
     "IdxTruncatedError",
     "IdxCountMismatchError",
     "load_idx_images",
+    "EmptyBatchError",
     "stack_batches",
 ]
 
@@ -143,10 +144,16 @@ def load_idx_images(images_path, labels_path) -> Batch:
     return Batch(inputs=images, labels=labels)
 
 
+class EmptyBatchError(ValueError):
+    """A batch to split holds no images."""
+
+
 def stack_batches(batch: Batch, eval_fraction: float = 0.2, flatten: bool = False) -> Dataset:
     """Split a batch of images into train/eval arrays (deterministic tail split)."""
     x, y = batch.inputs, batch.labels
     count = x.shape[0]
+    if count == 0:
+        raise EmptyBatchError("batch holds no images to split")
     if flatten:
         x = x.reshape(count, -1)
     n_eval = max(1, int(round(count * eval_fraction)))

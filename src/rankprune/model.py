@@ -27,6 +27,7 @@ __all__ = [
     "matrix_to_tensor",
     "forward",
     "task_loss",
+    "loss_and_dout",
     "accuracy",
     "backward",
     "build_network",
@@ -271,37 +272,43 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
 
 
-def task_loss(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy over the batch."""
+def loss_and_dout(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """task_loss and its gradient with respect to the logits, from one log-softmax."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     if logits.shape[0] != labels.shape[0]:
         raise ValueError("logits and labels disagree on batch size")
+    rows = np.arange(len(labels))
     logp = _log_softmax(logits)
-    return float(-np.mean(logp[np.arange(len(labels)), labels]))
+    probs = np.exp(logp)
+    probs[rows, labels] -= 1.0
+    return float(-np.mean(logp[rows, labels])), probs / len(labels)
+
+
+def task_loss(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean softmax cross-entropy over the batch."""
+    return loss_and_dout(logits, labels)[0]
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
 
 
-def backward(net: Network, cache, labels) -> list[tuple[np.ndarray, np.ndarray]]:
+def backward(net: Network, cache, labels, dout=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Gradients of task_loss w.r.t. every layer's effective weight and bias.
 
     Defined at all weight positions, masked ones included. The cache must come
     from a forward on the current parameters; it holds the effective weights
-    that forward used. The input gradient of the first layer is not computed,
-    since nothing reads it.
+    that forward used. dout, the loss gradient with respect to the logits, is
+    computed from labels unless the caller already has it from loss_and_dout
+    on the cache's logits. The input gradient of the first layer is not
+    computed, since nothing reads it.
     """
     if cache.get("net_id") != id(net) or cache.get("version") != net.version:
         raise InvalidStateError("cache is stale: parameters changed since forward")
     steps = cache["steps"]
-    labels = np.asarray(labels)
-    logits = steps[-1]["out"]
-    b = logits.shape[0]
-    probs = np.exp(_log_softmax(logits))
-    probs[np.arange(b), labels] -= 1.0
-    dout = probs / b
+    if dout is None:
+        dout = loss_and_dout(steps[-1]["out"], labels)[1]
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
     for idx in range(len(net.layers) - 1, -1, -1):

@@ -6,6 +6,12 @@ negative tail energy of the normalized spectrum: -sum_{i>k} sigma_i^2.
 Minimizing it (maximizing tail energy) pushes the matrix away from every
 low-rank matrix at once, since truncated SVD is the closest one.
 
+Spectra are taken of the live block, the normalized matrix without its
+all-zero rows and columns (at high sparsity whole rows and columns die).
+Reported spectra come from a values-only SVD of that block; the mask-step
+gradient from one eigendecomposition of its smaller Gram matrix, since by
+Eckart-Young the best rank-k fit projects onto the top-k eigenspace.
+
 All functions operate on the effective (already masked) weight matrix and are
 pure; per-layer calls may run concurrently.
 """
@@ -91,16 +97,53 @@ def normalize(w, norm_floor: float = 1e-12) -> np.ndarray:
     return w / norm
 
 
-def _spectrum(w, norm_floor: float, vectors: bool = False, k: int | None = None):
-    """The one normalize->SVD pass: (w as a matrix, SVD of w/||w||).
+def _live_block(w, norm_floor: float):
+    """(w as a matrix, w/||w||, live rows, live columns, live block of w/||w||).
 
-    Singular vectors are computed only when asked for; a given k must be < r.
+    A row or column is live when it holds a nonzero of w/||w||.
     """
     w = as_matrix(w)
-    f = svd(normalize(w, norm_floor), vectors=vectors)
-    if k is not None and not 1 <= k < f.rank_bound:
-        raise ValueError(f"k={k} outside [1, {f.rank_bound - 1}]")
-    return w, f
+    wbar = normalize(w, norm_floor)
+    nonzero = wbar != 0.0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    return w, wbar, rows, cols, wbar.take(rows, axis=0).take(cols, axis=1)
+
+
+def _padded(sigma, w: np.ndarray, k: int | None) -> SvdFactors:
+    """Values-only factors of sigma and zeros up to r = min(m, n); a given k must be < r."""
+    r = min(w.shape)
+    if k is not None and not 1 <= k < r:
+        raise ValueError(f"k={k} outside [1, {r - 1}]")
+    return SvdFactors(u=None, sigma=np.concatenate([sigma, np.zeros(r - len(sigma))]), v=None)
+
+
+def _spectrum(w, norm_floor: float, k: int | None = None):
+    """The one normalize->SVD pass: (w as a matrix, SVD values of w/||w||, live rank bound).
+
+    The values-only SVD runs on the live block; the live rank bound is the
+    smaller of its dimensions.
+    """
+    w, _, _, _, b = _live_block(w, norm_floor)
+    return w, _padded(svd(b, False).sigma, w, k), min(b.shape)
+
+
+def _gram(w, norm_floor: float, k: int | None = None):
+    """(w as a matrix, spectrum of w/||w||, live rank bound, fit) from one eigh.
+
+    The eigh is of B B^T when the live block B has no more rows than columns
+    (left), else of B^T B; the spectrum is sqrt(max(lambda, 0)), descending
+    and padded as in _spectrum. fit is (w/||w||, Q, left), with Q the
+    eigenbasis in ascending eigenvalue order, its rows placed at the live
+    rows (left) or columns of w and zero at the dead ones.
+    """
+    w, wbar, rows, cols, b = _live_block(w, norm_floor)
+    left = b.shape[0] <= b.shape[1]
+    lam, q = np.linalg.eigh(b @ b.T if left else b.T @ b)
+    basis = np.zeros((w.shape[0] if left else w.shape[1], q.shape[1]))
+    basis[rows if left else cols] = q
+    f = _padded(np.sqrt(np.maximum(lam[::-1], 0.0)), w, k)
+    return w, f, min(b.shape), (wbar, basis, left)
 
 
 def select_k(sigma_normalized, target_error: float) -> int:
@@ -134,25 +177,38 @@ def _check_gap(sigma: np.ndarray, k: int) -> None:
         )
 
 
-def _term(f: SvdFactors, target_error: float) -> tuple[int, float]:
-    """The rank term's k and loss; raises DegenerateSpectrumError where it is undefined."""
-    if f.rank_bound < 2:
-        raise DegenerateSpectrumError("rank bound 1: no k < r exists")
+def _term(f: SvdFactors, live_bound: int, target_error: float) -> tuple[int, float]:
+    """The rank term's k and loss; raises DegenerateSpectrumError where it is
+    undefined or where one live row or column leaves an empty tail for every k."""
+    if live_bound < 2:
+        raise DegenerateSpectrumError("rank bound 1: no k leaves a nonzero tail")
     k = select_k(f.sigma, target_error)
     _check_gap(f.sigma, k)
     err = low_rank_error(f, k)
     return k, -(err * err)
 
 
-def _gradient(w: np.ndarray, f: SvdFactors, k: int) -> tuple[np.ndarray, float, float]:
-    """(G, c, ||W||) with G = -T/||W|| + W * c/||W||^3 the raw weight's gradient,
-    T = sum_{i>k} 2 sigma_i u_i v_i^T on the normalized factors and c = sum(W . T).
+def _gradient(w: np.ndarray, f: SvdFactors, fit, k: int) -> np.ndarray:
+    """G = -T/||W|| + W * c/||W||^3, the raw weight's gradient, with c = sum(W . T).
+
+    T = 2(Wbar - Wbar_k), twice the normalized matrix's residual from its best
+    rank-k fit Wbar_k = Q_k Q_k^T Wbar (or Wbar Q_k Q_k^T), with Q_k the top-k
+    eigenbasis of _gram. T is zero on dead rows and columns, and the
+    projector Q_k Q_k^T does not depend on the signs Q_k comes with.
     """
     _check_gap(f.sigma, k)
+    wbar, q, left = fit
+    qk = q[:, -k:]
+    # One buffer turns from Wbar_k into T into G: each full-size temporary
+    # left to the allocator measurably raised peak RSS.
+    g = qk @ (qk.T @ wbar) if left else (wbar @ qk) @ qk.T
+    np.subtract(wbar, g, out=g)
+    g *= 2.0
     norm = frobenius_norm(w)
-    t = 2.0 * (f.u[:, k:] * f.sigma[k:]) @ f.v[:, k:].T
-    c = float(np.sum(w * t))
-    return -t / norm + w * (c / norm**3), c, norm
+    c = float(np.sum(w * g))
+    g /= -norm
+    g += w * (c / norm**3)
+    return g
 
 
 def rank_loss(w, k: int, norm_floor: float = 1e-12) -> float:
@@ -161,7 +217,7 @@ def rank_loss(w, k: int, norm_floor: float = 1e-12) -> float:
     Equal to the negative squared Frobenius distance between the normalized
     matrix and its best rank-k approximation. Lies in [-1, 0].
     """
-    _, f = _spectrum(w, norm_floor, k=k)
+    _, f, _ = _spectrum(w, norm_floor, k=k)
     err = low_rank_error(f, k)
     return -(err * err)
 
@@ -170,11 +226,12 @@ def rank_loss_gradient(w, k: int, norm_floor: float = 1e-12) -> np.ndarray:
     """Gradient of rank_loss with respect to the raw (unnormalized) weight.
 
     G = -T/||W|| + W * sum(W . T)/||W||^3 with T = sum_{i>k} 2 sigma_i u_i v_i^T
-    built from the normalized matrix's SVD. Homogeneous of degree -1 in W,
-    since the loss itself is scale invariant.
+    the tail of the normalized matrix's SVD, built as 2(Wbar - Wbar_k) from one
+    Gram eigendecomposition. Homogeneous of degree -1 in W, since the loss
+    itself is scale invariant.
     """
-    w, f = _spectrum(w, norm_floor, vectors=True, k=k)
-    return _gradient(w, f, k)[0]
+    w, f, _, fit = _gram(w, norm_floor, k)
+    return _gradient(w, f, fit, k)
 
 
 def delta_rank(w, delta: float, norm_floor: float = 1e-12) -> int:
@@ -186,23 +243,20 @@ def delta_rank(w, delta: float, norm_floor: float = 1e-12) -> int:
 
 
 def rank_step_preview(w, k: int, gamma: float, norm_floor: float = 1e-12) -> np.ndarray:
-    """Closed form of one plain gradient step on the rank loss.
+    """One plain gradient step on the rank loss: w - gamma*rank_loss_gradient(w, k).
 
+    In closed form
     W' = U[(1 - c*gamma/||W||^3) Sigma + (2*gamma/||W||) SigmaBar_{[k+1:r]}] V^T
-    with Sigma the raw singular values, SigmaBar the normalized ones, and
-    c = sum(W . T). Identical (to rounding) to w - gamma*rank_loss_gradient(w, k);
-    the shared U, V show the step preserves both singular subspaces while
-    boosting the tail of the spectrum.
+    with U Sigma V^T the SVD of W, SigmaBar the normalized singular values and
+    c = sum(W . T): the step keeps both singular subspaces while boosting the
+    tail of the spectrum.
     """
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
+    w = as_matrix(w)
     if gamma == 0.0:
-        return as_matrix(w).copy()
-    w, f = _spectrum(w, norm_floor, vectors=True, k=k)
-    _, c, norm = _gradient(w, f, k)
-    diag = (1.0 - c * gamma / norm**3) * (f.sigma * norm)
-    diag[k:] += (2.0 * gamma / norm) * f.sigma[k:]
-    return (f.u * diag) @ f.v.T
+        return w.copy()
+    return w - gamma * rank_loss_gradient(w, k, norm_floor)
 
 
 @dataclass(frozen=True)
@@ -215,16 +269,16 @@ class RankTerm:
 
 
 def layer_rank_term(w, cfg: RankLossConfig) -> RankTerm:
-    """Loss, gradient and chosen k for one layer, sharing a single SVD.
+    """Loss, gradient and chosen k for one layer, sharing one Gram eigendecomposition.
 
     Equivalent to select_k + rank_loss + rank_loss_gradient composed; raises
     DegenerateWeightError / DegenerateSpectrumError for the caller to skip the
-    layer this step. Matrices whose min dimension is 1 admit no k < r and also
-    raise DegenerateSpectrumError.
+    layer this step. Matrices with one live row or column leave an empty tail
+    for every k and also raise DegenerateSpectrumError.
     """
-    w, f = _spectrum(w, cfg.norm_floor, vectors=True)
-    k, loss = _term(f, cfg.target_error)
-    return RankTerm(loss=loss, gradient=_gradient(w, f, k)[0], k=k)
+    w, f, bound, fit = _gram(w, cfg.norm_floor)
+    k, loss = _term(f, bound, cfg.target_error)
+    return RankTerm(loss=loss, gradient=_gradient(w, f, fit, k), k=k)
 
 
 def _delta_rank(f: SvdFactors, delta: float) -> int:
@@ -255,14 +309,14 @@ def layer_spectrum(w, delta: float, cfg: RankLossConfig | None = None, norm_floo
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     try:
-        w, f = _spectrum(w, norm_floor)
+        w, f, bound = _spectrum(w, norm_floor)
     except DegenerateWeightError:
         return np.zeros(0), 0, None
     drank = _delta_rank(f, delta)
     loss = None
     if cfg is not None and frobenius_norm(w) > cfg.norm_floor:
         try:
-            loss = _term(f, cfg.target_error)[1]
+            loss = _term(f, bound, cfg.target_error)[1]
         except DegenerateSpectrumError:
             pass
     return f.sigma, drank, loss

@@ -20,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, rank, sparsity
-from .model import Batch, Network, accuracy, backward, forward, matrix_to_tensor, task_loss
+from .model import Batch, Network, accuracy, backward, forward, loss_and_dout, matrix_to_tensor
 from .rank import DegenerateSpectrumError, DegenerateWeightError, RankLossConfig
 from .sparsity import GrowSchedule, ScheduleError, SparsitySchedule
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "DivergenceError",
     "TrainConfig",
     "OptimizerState",
     "MetricsRecord",
@@ -36,6 +37,10 @@ __all__ = [
     "train",
     "average_delta_rank",
 ]
+
+
+class DivergenceError(ValueError):
+    """A training step's task loss is not finite."""
 
 
 @dataclass(frozen=True)
@@ -201,6 +206,18 @@ def _rank_metrics(net: Network, rank_cfg: RankLossConfig | None, delta: float) -
     return total, float(np.mean(ranks))
 
 
+def _divergence(net: Network, cache, step: int, loss: float) -> DivergenceError:
+    """The error for a non-finite loss: it names the step and the first layer
+    whose weights or activations are not finite."""
+    for layer, out in zip(net.layers, cache["steps"]):
+        for what, values in (("weights", layer.params.weight), ("activations", out["out"])):
+            if not np.all(np.isfinite(values)):
+                return DivergenceError(
+                    f"step {step}: task loss is {loss}; the {what} of layer {layer.name} are not finite"
+                )
+    return DivergenceError(f"step {step}: task loss is {loss}; every weight and activation is finite")
+
+
 def _evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray) -> float:
     if len(labels) == 0:
         return float("nan")
@@ -221,7 +238,8 @@ def train(
 
     dataset provides train_x/train_y/eval_x/eval_y arrays. One MetricsRecord
     is appended per step, with delta-ranks at tolerance delta. Schedule
-    problems raise, they are never clamped away.
+    problems raise, they are never clamped away; a non-finite task loss
+    raises DivergenceError before the step updates anything.
     """
     sched = cfg.schedule
     opt = optimizer if optimizer is not None else OptimizerState.zeros_like(net)
@@ -242,7 +260,9 @@ def train(
         update_step = step % sched.update_interval == 0
         mask_step = update_step and step <= sched.prune_steps
         logits, cache = forward(net, batch)
-        loss = task_loss(logits, batch.labels)
+        loss, dout = loss_and_dout(logits, batch.labels)
+        if not np.isfinite(loss):
+            raise _divergence(net, cache, step, loss)
         acc = accuracy(logits, batch.labels)
         if mask_step:
             grads = combined_gradient(net, batch, cfg.rank_cfg)
@@ -252,7 +272,7 @@ def train(
             opt.mask_pruned(net)
             sparsity_now = net.sparsity()
         else:
-            grads = backward(net, cache, batch.labels)
+            grads = backward(net, cache, batch.labels, dout)
         sgd_step(net, grads, opt, lr, cfg.momentum, cfg.weight_decay)
 
         rank_loss = avg_rank = eval_acc = None

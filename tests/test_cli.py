@@ -1,6 +1,8 @@
 """Command-line behavior: artifacts, determinism, analyze, plot."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +226,19 @@ class TestCmdTrain:
                                               labels=labels, out=tmp_path / "run"))
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert f"error: {images}: holds no images" in capsys.readouterr().err
+
+    def test_diverging_toy_run_names_step_and_layer(self, tmp_path, capsys):
+        toy = (Path(__file__).resolve().parent.parent / "configs" / "toy.cfg").read_text(encoding="utf-8")
+        cfg_path = tmp_path / "lr50.cfg"
+        cfg_path.write_text(toy.replace("learning_rate = 0.03", "learning_rate = 50"), encoding="utf-8")
+        out = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: step \d+: task loss is nan; the (weights|activations) of layer \w+ are not finite\n", err), err
+        assert not (out / "checkpoint.bin").exists()
+        assert not (out / "metrics.csv").exists()
 
     def test_resume_with_wrong_config_rejected(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)

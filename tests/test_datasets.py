@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from rankprune import datasets
+from rankprune.model import Batch
 from rankprune.datasets import (
+    EmptyBatchError,
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
@@ -108,3 +110,8 @@ class TestIdx:
         assert d.train_x.shape == (4, 4)
         assert d.eval_x.shape == (1, 4)
         np.testing.assert_allclose(d.train_x[0], pixels[0].ravel() / 255.0)
+
+    @pytest.mark.parametrize("flatten", [True, False])
+    def test_stack_batches_rejects_empty_batch(self, flatten):
+        with pytest.raises(EmptyBatchError, match="no images"):
+            datasets.stack_batches(Batch(np.zeros((0, 1, 2, 2)), np.zeros(0)), flatten=flatten)

@@ -234,6 +234,18 @@ class TestBackward:
             np.testing.assert_allclose(dw, tdw, atol=1e-12)
             np.testing.assert_allclose(db, tdb, atol=1e-12)
 
+    def test_passed_dout_gives_identical_gradients(self):
+        rng = np.random.default_rng(19)
+        net = model.build_network(5, [("dense", 4)], 3, seed=20)
+        batch = Batch(rng.normal(size=(6, 5)), rng.integers(0, 3, 6))
+        logits, cache = model.forward(net, batch)
+        loss, dout = model.loss_and_dout(logits, batch.labels)
+        assert loss == model.task_loss(logits, batch.labels)
+        for (dw, db), (tdw, tdb) in zip(model.backward(net, cache, batch.labels, dout),
+                                        model.backward(net, cache, batch.labels)):
+            np.testing.assert_array_equal(dw, tdw)
+            np.testing.assert_array_equal(db, tdb)
+
     def test_stale_cache_rejected(self):
         net = model.build_network(3, [("dense", 4)], 2, seed=14)
         batch = Batch(np.ones((2, 3)), np.array([0, 1]))

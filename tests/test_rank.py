@@ -296,3 +296,80 @@ def test_scale_invariance_property(m, n, seed, c):
     w = np.random.default_rng(seed).normal(size=(m, n))
     k = min(m, n) - 1
     assert rank.rank_loss(c * w, k) == pytest.approx(rank.rank_loss(w, k), abs=1e-12)
+
+
+def _with_dead_lines(rng, w, dead_rows, dead_cols):
+    """w with all-zero rows and columns inserted at random positions."""
+    m, n = w.shape
+    rows = np.sort(rng.choice(m + dead_rows, size=m, replace=False))
+    cols = np.sort(rng.choice(n + dead_cols, size=n, replace=False))
+    out = np.zeros((m + dead_rows, n + dead_cols))
+    out[np.ix_(rows, cols)] = w
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_dead_lines_leave_spectrum_and_delta_rank(m, n, dead_rows, dead_cols, seed):
+    # nonzero integers: no dead line in the dense block, and a norm whose sum
+    # of squares is exact in any summation order
+    rng = np.random.default_rng(seed)
+    dense = rng.integers(1, 4, size=(m, n)) * rng.choice([-1.0, 1.0], size=(m, n))
+    sparse = _with_dead_lines(rng, dense, dead_rows, dead_cols)
+    sigma, drank, _ = rank.layer_spectrum(dense, 0.1)
+    sigma_s, drank_s, _ = rank.layer_spectrum(sparse, 0.1)
+    r = min(sparse.shape)
+    assert sigma_s.shape == (r,)
+    np.testing.assert_array_equal(sigma_s[: len(sigma)], sigma)
+    assert np.all(sigma_s[len(sigma):] == 0.0)
+    assert drank_s == drank
+
+
+def _svd_tail_gradient(w, target_error):
+    """(k, G) from the SVD tail: G = -T/||W|| + W * c/||W||^3, T = 2 sum_{i>k} sigma_i u_i v_i^T."""
+    norm = np.linalg.norm(w)
+    u, s, vt = np.linalg.svd(w / norm, full_matrices=False)
+    k = rank.select_k(s, target_error)
+    t = 2.0 * (u[:, k:] * s[k:]) @ vt[k:]
+    return k, -t / norm + w * (np.sum(w * t) / norm**3)
+
+
+@pytest.mark.parametrize("dead", [(0, 0), (3, 0), (0, 4), (5, 2)])
+def test_gram_gradient_matches_svd_tail(dead):
+    rng = np.random.default_rng(17)
+    cfg = RankLossConfig(target_error=0.2)
+    for _ in range(40):
+        m, n = int(rng.integers(2, 30)), int(rng.integers(2, 30))
+        while True:
+            w = _with_dead_lines(rng, rng.normal(size=(m, n)), *dead)
+            sigma = np.linalg.svd(w / np.linalg.norm(w), compute_uv=False)
+            k = rank.select_k(sigma, cfg.target_error)
+            # away from a tied truncation boundary and from a tie in select_k
+            tails = np.cumsum((sigma**2)[::-1])[::-1][1:]
+            misfit = np.sort(np.abs(tails - cfg.target_error))
+            if sigma[k - 1] - sigma[k] > 1e-3 and (len(misfit) < 2 or misfit[1] - misfit[0] > 1e-6):
+                break
+        want_k, want = _svd_tail_gradient(w, cfg.target_error)
+        term = rank.layer_rank_term(w, cfg)
+        assert term.k == want_k
+        np.testing.assert_allclose(term.gradient, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+        np.testing.assert_allclose(rank.rank_loss_gradient(w, k), want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("shape, live", [((5, 6), "row"), ((6, 5), "row"), ((5, 6), "col"), ((1, 5), "row")])
+def test_single_live_line_skips_rank_term(shape, live):
+    w = np.zeros(shape)
+    values = np.random.default_rng(18).normal(size=shape[1] if live == "row" else shape[0])
+    if live == "row":
+        w[shape[0] // 2] = values
+    else:
+        w[:, shape[1] // 2] = values
+    with pytest.raises(DegenerateSpectrumError):
+        rank.layer_rank_term(w, RankLossConfig())
+    assert rank.layer_spectrum(w, 0.1, RankLossConfig())[1:] == (1, None)

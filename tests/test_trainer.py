@@ -279,6 +279,32 @@ class TestTrain:
         with pytest.raises(ValueError):
             trainer.train(small_net(), data, small_config())
 
+    @pytest.mark.parametrize("layer, what", [(0, "weights"), (1, "weights"), (0, "activations")])
+    def test_nonfinite_loss_names_step_and_layer(self, layer, what):
+        net = small_net()
+        target = net.layers[layer]
+        if what == "weights":
+            target.params.weight[0, 0] = np.nan  # an active position: masks start full
+        else:
+            target.bias[0] = np.inf
+        net.touch()
+        before = [l.params.weight.copy() for l in net.layers]
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(trainer.DivergenceError, match=f"^step 1: .* the {what} of layer {target.name} are not"):
+            trainer.train(net, small_dataset(), small_config())
+        for l, w in zip(net.layers, before):
+            np.testing.assert_array_equal(l.params.weight, w)
+
+    def test_divergence_stops_before_nonfinite_weights(self):
+        # a huge step size overflows the activations within a few steps; the
+        # run stops there, before any weight turns non-finite
+        net = small_net()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(trainer.DivergenceError, match="activations of layer") as exc:
+            trainer.train(net, small_dataset(), small_config(learning_rate=1e4))
+        assert not str(exc.value).startswith("step 1:")
+        assert all(np.all(np.isfinite(l.params.weight)) for l in net.layers)
+
     def test_indivisible_schedule_rejected(self):
         with pytest.raises(ScheduleError):
             small_config(prune=130, interval=50, total=200)
