@@ -7,12 +7,14 @@ so resuming training reproduces an uninterrupted run bit for bit.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import frobenius_norm
 from .model import Layer, MaskedTensor, Network
 from .trainer import OptimizerState
 
@@ -69,8 +71,9 @@ def restore_into(state: TrainState, net: Network, opt: OptimizerState) -> None:
 
     Every tensor is checked before any is installed: each one state_from would
     write for this model is present with the model's shape, masks hold only 0
-    and 1, weights and momentum are 0 wherever the mask is 0, and no tensor
-    belongs to a layer the model does not have.
+    and 1, every entry and every weight norm is finite, weights and momentum
+    are 0 wherever the mask is 0, and no tensor belongs to a layer the model
+    does not have.
     """
     live = state_from(net, opt, state.step, state.config_digest).tensors
     for name in state.tensors:
@@ -84,6 +87,12 @@ def restore_into(state: TrainState, net: Network, opt: OptimizerState) -> None:
             raise state.error(f"{name} shape {got.shape} does not match model shape {want.shape}")
         if name.endswith(".mask") and not np.isin(got, (0, 1)).all():
             raise state.error(f"{name} holds entries other than 0 and 1")
+        if not np.isfinite(got).all():
+            raise state.error(f"{name} holds entries that are not finite")
+        with np.errstate(over="ignore"):
+            # finite entries can still overflow the norm the rank metrics divide by
+            if name.endswith(".weight") and not np.isfinite(frobenius_norm(got)):
+                raise state.error(f"{name} has a Frobenius norm that is not finite")
     for i in range(len(net.layers)):
         pruned = state.tensors[f"layer{i}.mask"] == 0
         for name in (f"layer{i}.weight", f"layer{i}.momentum"):
@@ -186,14 +195,19 @@ def load_checkpoint(path) -> TrainState:
     tensors = {}
     for _ in range(count):
         name_len, code, ndim = r.unpack("<HBB")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: a tensor name is not UTF-8") from None
         shape = r.unpack(f"<{ndim}I")
         if code not in _DTYPES:
             raise CheckpointError(f"{path}: unknown dtype code {code}")
         dtype = np.dtype(_DTYPES[code]).newbyteorder("<")
-        nbytes = int(np.prod(shape)) * dtype.itemsize if ndim else dtype.itemsize
-        raw = r.take(nbytes)
-        arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(_DTYPES[code])
+        raw = r.take(math.prod(shape) * dtype.itemsize)
+        try:
+            arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(_DTYPES[code])
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise CheckpointError(f"{path}: tensor {name!r} of shape {shape}: {exc}") from None
         tensors[name] = arr
     if r.pos != len(data):
         raise CheckpointError(f"{path}: trailing bytes after last tensor")

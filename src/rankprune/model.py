@@ -6,8 +6,14 @@ effective tensor at *every* position, pruned ones included: the gradient a
 masked weight would receive were it active. That dense gradient is what drives
 regrowth.
 
-Convolutions are direct im2col, stride 1, zero-padded to keep spatial size.
-Sizes stay small enough that clarity beats speed.
+Convolutions are stride 1, zero-padded to keep spatial size, and lowered to
+one GEMM each (im2col; Chellapilla et al. 2006). Between conv layers the
+activations are (c, b, h, w): channels first, then batch. The patch matrix is
+then (c*kh*kw, b*h*w), its rows in the (c, kh, kw) order of the flattened
+weight, and both its gather and its adjoint scatter move whole contiguous
+image rows. Inputs are turned from (b, c, h, w) at the first layer, and back
+at the flatten into a dense layer. Channels-last (b, h, w, c) would make the
+gather strided, since each patch row runs over (c, kh, kw).
 """
 
 from __future__ import annotations
@@ -195,41 +201,61 @@ def build_network(input_shape, layer_specs, num_classes: int, seed: int) -> Netw
     return Network(layers=layers, num_classes=num_classes)
 
 
-def _pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    top, left = (kh - 1) // 2, (kw - 1) // 2
-    bottom, right = kh - 1 - top, kw - 1 - left
-    return np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
+# Both GEMMs on the patch matrix give their result in the orientation of
+# tests/conv_reference.py, which pins their bits: one output row per pixel, and
+# (o, c*kh*kw) for the weight gradient. OpenBLAS's blocked kernel then sums
+# every entry in the same order however the patch matrix is stored. A GEMM of
+# at most this many multiply-adds, or with a dimension of 1, runs in a
+# small-matrix or GEMV kernel whose order depends on that storage too, so there
+# the patch matrix is stored one row per pixel, as in the reference.
+_BLOCKED_GEMM_MIN = 10**6
+
+
+def _same_range(n: int, k: int, d: int) -> tuple[slice, slice]:
+    """Output positions of a same-padded stride-1 conv that kernel offset d
+    reads inside the image, and the input positions they read."""
+    top = (k - 1) // 2
+    lo, hi = max(0, top - d), min(n, n + top - d)
+    return slice(lo, hi), slice(lo + d - top, hi + d - top)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(b, c, h, w) -> (b*h*w, c*kh*kw) patches for stride-1 same conv."""
-    b, c, h, w = x.shape
-    xp = _pad_same(x, kh, kw)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    # windows: (b, c, h, w, kh, kw) -> (b, h, w, c, kh, kw)
-    patches = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w, c * kh * kw)
-    return np.ascontiguousarray(patches)
+    """(c, b, h, w) -> (c*kh*kw, b*h*w) patches for stride-1 same conv.
+
+    Row (c, di, dj) is channel c shifted by kernel offset (di, dj), zero
+    where the shift leaves the image.
+    """
+    c, b, h, w = x.shape
+    cols = np.zeros((c, kh, kw, b, h, w))
+    for di, dj in np.ndindex(kh, kw):
+        (out_i, in_i), (out_j, in_j) = _same_range(h, kh, di), _same_range(w, kw, dj)
+        cols[:, di, dj, :, out_i, out_j] = x[:, :, in_i, in_j]
+    return cols.reshape(c * kh * kw, b * h * w)
 
 
-def _col2im(cols: np.ndarray, x_shape: tuple, kh: int, kw: int) -> np.ndarray:
-    """Scatter-add patch gradients back to the (padded, then cropped) input."""
-    b, c, h, w = x_shape
-    top, left = (kh - 1) // 2, (kw - 1) // 2
-    xp = np.zeros((b, c, h + kh - 1, w + kw - 1))
-    cols = cols.reshape(b, h, w, c, kh, kw)
-    for di in range(kh):
-        for dj in range(kw):
-            xp[:, :, di : di + h, dj : dj + w] += cols[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
-    return xp[:, :, top : top + h, left : left + w]
+def _col2im(dcols: np.ndarray, x_shape: tuple, kh: int, kw: int) -> np.ndarray:
+    """Adjoint of _im2col: (b*h*w, c*kh*kw) patch gradients to the (c, b, h, w)
+    input gradient, the kernel offsets added in (di, dj) order."""
+    c, b, h, w = x_shape
+    dcols = np.ascontiguousarray(dcols.T).reshape(c, kh, kw, b, h, w)
+    dx = np.zeros(x_shape)
+    for di, dj in np.ndindex(kh, kw):
+        (out_i, in_i), (out_j, in_j) = _same_range(h, kh, di), _same_range(w, kw, dj)
+        dx[:, :, in_i, in_j] += dcols[:, di, dj, :, out_i, out_j]
+    return dx
 
 
 def forward(net: Network, batch: Batch):
     """Run the network on a batch; returns (logits, cache) for backward."""
     x = np.asarray(batch.inputs, dtype=np.float64)
+    if x.ndim == 4:
+        x = x.swapaxes(0, 1)  # (c, b, h, w), see the module docstring
     steps = []
     for layer in net.layers:
         e = layer.params.effective()
         if layer.kind == "dense":
+            if x.ndim == 4:
+                x = x.swapaxes(0, 1)
             if x.ndim > 2:
                 x = x.reshape(x.shape[0], -1)
             if x.shape[1] != e.shape[1]:
@@ -244,14 +270,16 @@ def forward(net: Network, batch: Batch):
                     f"layer {layer.name}: conv2d needs (b, c, h, w) input, got {x.shape}"
                 )
             o, c, kh, kw = e.shape
-            if x.shape[1] != c:
+            if x.shape[0] != c:
                 raise ConfigurationError(
-                    f"layer {layer.name}: input channels {x.shape[1]} != {c}"
+                    f"layer {layer.name}: input channels {x.shape[0]} != {c}"
                 )
-            b, _, h, w = x.shape
+            _, b, h, w = x.shape
             cols = _im2col(x, kh, kw)
-            pre_cols = cols @ e.reshape(o, -1).T + layer.bias
-            pre = pre_cols.reshape(b, h, w, o).transpose(0, 3, 1, 2)
+            if min(o, *cols.shape) == 1 or o * cols.size <= _BLOCKED_GEMM_MIN:
+                cols = np.asfortranarray(cols)
+            pre = np.add((cols.T @ e.reshape(o, -1).T).T, layer.bias[:, None], order="C")
+            pre = pre.reshape(o, b, h, w)
             step = {"x": x, "e": e, "cols": cols, "pre": pre}
         else:
             raise ConfigurationError(f"unknown layer kind {layer.kind!r}")
@@ -322,16 +350,22 @@ def backward(net: Network, cache, labels, dout=None) -> list[tuple[np.ndarray, n
             db = dout.sum(axis=0)
         else:
             o, c, kh, kw = e.shape
-            bsz, _, h, w = step["x"].shape
-            # one row per output pixel, matching step["cols"]
-            dout = dout.transpose(0, 2, 3, 1).reshape(bsz * h * w, o)
-            dw = (dout.T @ step["cols"]).reshape(o, c, kh, kw)
+            # one row per output pixel, the transpose of step["cols"]: C-contiguous,
+            # except that a single image keeps dout's (o, h*w) memory, which
+            # sets the summation order of db and dw as in tests/conv_reference.py
+            dout = dout.transpose(1, 2, 3, 0).reshape(-1, o)
+            if step["x"].shape[1] > 1:
+                dout = np.ascontiguousarray(dout)
+            dw = (dout.T @ step["cols"].T).reshape(o, c, kh, kw)
             db = dout.sum(axis=0)
         grads[idx] = (dw, db)
         if idx == 0:
             break
         if layer.kind == "dense":
-            dout = (dout @ e).reshape(steps[idx - 1]["out"].shape)
+            dout = dout @ e
+            if steps[idx - 1]["out"].ndim == 4:
+                c, b, h, w = steps[idx - 1]["out"].shape
+                dout = dout.reshape(b, c, h, w).swapaxes(0, 1)
         else:
             dout = _col2im(dout @ e.reshape(o, -1), step["x"].shape, kh, kw)
     return grads

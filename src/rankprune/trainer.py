@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, rank, sparsity
+from .linalg import frobenius_norm
 from .model import Batch, Network, accuracy, backward, forward, loss_and_dout, matrix_to_tensor
 from .rank import DegenerateSpectrumError, DegenerateWeightError, RankLossConfig
 from .sparsity import GrowSchedule, ScheduleError, SparsitySchedule
@@ -218,6 +219,16 @@ def _divergence(net: Network, cache, step: int, loss: float) -> DivergenceError:
     return DivergenceError(f"step {step}: task loss is {loss}; every weight and activation is finite")
 
 
+def _check_weight_norms(net: Network, step: int) -> None:
+    """Raise DivergenceError naming the first layer whose weight norm is not
+    finite: finite weights can still overflow the norm the rank metrics divide by."""
+    for layer in net.layers:
+        with np.errstate(over="ignore"):
+            norm = frobenius_norm(layer.params.weight)
+        if not np.isfinite(norm):
+            raise DivergenceError(f"step {step}: the weight norm of layer {layer.name} is {norm}")
+
+
 def _evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray) -> float:
     if len(labels) == 0:
         return float("nan")
@@ -239,7 +250,8 @@ def train(
     dataset provides train_x/train_y/eval_x/eval_y arrays. One MetricsRecord
     is appended per step, with delta-ranks at tolerance delta. Schedule
     problems raise, they are never clamped away; a non-finite task loss
-    raises DivergenceError before the step updates anything.
+    raises DivergenceError before the step updates anything, and a weight
+    norm that overflows raises it at the next step that records rank metrics.
     """
     sched = cfg.schedule
     opt = optimizer if optimizer is not None else OptimizerState.zeros_like(net)
@@ -277,6 +289,7 @@ def train(
 
         rank_loss = avg_rank = eval_acc = None
         if update_step or step == sched.total_steps:
+            _check_weight_norms(net, step)
             rank_loss, avg_rank = _rank_metrics(net, cfg.rank_cfg, delta)
             eval_acc = _evaluate(net, dataset.eval_x, dataset.eval_y)
         metrics.append(

@@ -1,0 +1,116 @@
+"""Reference forward and backward with activations in (b, c, h, w) layout.
+
+They lower each convolution with a padded NCHW input and a (b*h*w, c*kh*kw)
+patch matrix, as rankprune.model did before it kept conv activations channels
+first; the tests require the same logits, gradients and training bytes from
+both.
+"""
+
+import numpy as np
+
+from rankprune import model, trainer
+from rankprune.model import ConfigurationError, InvalidStateError, loss_and_dout
+
+
+def _pad_same(x, kh, kw):
+    top, left = (kh - 1) // 2, (kw - 1) // 2
+    bottom, right = kh - 1 - top, kw - 1 - left
+    return np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
+
+
+def _im2col(x, kh, kw):
+    """(b, c, h, w) -> (b*h*w, c*kh*kw) patches for stride-1 same conv."""
+    b, c, h, w = x.shape
+    xp = _pad_same(x, kh, kw)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    patches = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w, c * kh * kw)
+    return np.ascontiguousarray(patches)
+
+
+def _col2im(cols, x_shape, kh, kw):
+    """Scatter-add patch gradients back to the (padded, then cropped) input."""
+    b, c, h, w = x_shape
+    top, left = (kh - 1) // 2, (kw - 1) // 2
+    xp = np.zeros((b, c, h + kh - 1, w + kw - 1))
+    cols = cols.reshape(b, h, w, c, kh, kw)
+    for di in range(kh):
+        for dj in range(kw):
+            xp[:, :, di : di + h, dj : dj + w] += cols[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
+    return xp[:, :, top : top + h, left : left + w]
+
+
+def forward(net, batch):
+    x = np.asarray(batch.inputs, dtype=np.float64)
+    steps = []
+    for layer in net.layers:
+        e = layer.params.effective()
+        if layer.kind == "dense":
+            if x.ndim > 2:
+                x = x.reshape(x.shape[0], -1)
+            if x.shape[1] != e.shape[1]:
+                raise ConfigurationError(
+                    f"layer {layer.name}: input width {x.shape[1]} != fan-in {e.shape[1]}"
+                )
+            pre = x @ e.T + layer.bias
+            step = {"x": x, "e": e, "pre": pre}
+        elif layer.kind == "conv2d":
+            if x.ndim != 4:
+                raise ConfigurationError(
+                    f"layer {layer.name}: conv2d needs (b, c, h, w) input, got {x.shape}"
+                )
+            o, c, kh, kw = e.shape
+            if x.shape[1] != c:
+                raise ConfigurationError(f"layer {layer.name}: input channels {x.shape[1]} != {c}")
+            b, _, h, w = x.shape
+            cols = _im2col(x, kh, kw)
+            pre_cols = cols @ e.reshape(o, -1).T + layer.bias
+            pre = pre_cols.reshape(b, h, w, o).transpose(0, 3, 1, 2)
+            step = {"x": x, "e": e, "cols": cols, "pre": pre}
+        else:
+            raise ConfigurationError(f"unknown layer kind {layer.kind!r}")
+        x = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+        step["out"] = x
+        steps.append(step)
+    logits = x
+    if logits.ndim != 2 or logits.shape[1] != net.num_classes:
+        raise ConfigurationError(f"logits shape {logits.shape} does not match {net.num_classes} classes")
+    return logits, {"steps": steps, "version": net.version, "net_id": id(net)}
+
+
+def backward(net, cache, labels, dout=None):
+    if cache.get("net_id") != id(net) or cache.get("version") != net.version:
+        raise InvalidStateError("cache is stale: parameters changed since forward")
+    steps = cache["steps"]
+    if dout is None:
+        dout = loss_and_dout(steps[-1]["out"], labels)[1]
+    grads = [None] * len(net.layers)
+    for idx in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[idx]
+        step = steps[idx]
+        if layer.activation == "relu":
+            dout = dout * (step["pre"] > 0.0)
+        e = step["e"]
+        if layer.kind == "dense":
+            dw = dout.T @ step["x"]
+            db = dout.sum(axis=0)
+        else:
+            o, c, kh, kw = e.shape
+            bsz, _, h, w = step["x"].shape
+            dout = dout.transpose(0, 2, 3, 1).reshape(bsz * h * w, o)
+            dw = (dout.T @ step["cols"]).reshape(o, c, kh, kw)
+            db = dout.sum(axis=0)
+        grads[idx] = (dw, db)
+        if idx == 0:
+            break
+        if layer.kind == "dense":
+            dout = (dout @ e).reshape(steps[idx - 1]["out"].shape)
+        else:
+            dout = _col2im(dout @ e.reshape(o, -1), step["x"].shape, kh, kw)
+    return grads
+
+
+def install(monkeypatch):
+    """Make rankprune.model and the trainer's forward/backward these reference versions."""
+    for module in (model, trainer):
+        monkeypatch.setattr(module, "forward", forward)
+        monkeypatch.setattr(module, "backward", backward)

@@ -1,11 +1,13 @@
 """Acceptance suite: one test per exit criterion, one PASS line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. Criteria 6 and 7 share one training-run matrix (60 runs, a few
-minutes); everything else is fast.
+lines. Criteria 6 and 7 share one training-run matrix (60 runs on a pool of
+up to four processes, about a minute on two cores); everything else is fast.
 """
 
 import dataclasses
+import multiprocessing
+import os
 import time
 from pathlib import Path
 
@@ -270,26 +272,35 @@ def bench_config(final_sparsity: float, lam: float, seed: int) -> TrainConfig:
     )
 
 
+def _bench_run(key):
+    """One run of the matrix in a pool worker: (final avg delta-rank at 0.1,
+    eval accuracy, sparsity reached, its allowed slack)."""
+    seed, s, lam = key
+    net = model.build_network(TOY.model.input_shape, TOY.model.layers, TOY.model.num_classes, seed=seed)
+    res = trainer.train(net, datasets.make_blobs(BENCH_DATASET), bench_config(s, lam, seed))
+    slack = len(res.net.layers) / res.net.total_weights()
+    return trainer.average_delta_rank(res.net, 0.1), res.metrics[-1].eval_acc, res.net.sparsity(), slack
+
+
 @pytest.fixture(scope="module")
 def run_matrix():
-    """(seed, sparsity, lambda) -> (final avg delta-rank at 0.1, eval accuracy)."""
-    data = datasets.make_blobs(BENCH_DATASET)
-    results = {}
+    """(seed, sparsity, lambda) -> (final avg delta-rank at 0.1, eval accuracy).
+
+    Each run is deterministic and independent of the others, so they run on a
+    spawn pool whose workers pin BLAS to one thread.
+    """
+    keys = [(seed, s, lam) for seed in SEEDS for s in SPARSITIES for lam in LAMBDAS]
     t0 = time.monotonic()
-    for seed in SEEDS:
-        for s in SPARSITIES:
-            for lam in LAMBDAS:
-                net = model.build_network(
-                    TOY.model.input_shape, TOY.model.layers, TOY.model.num_classes, seed=seed
-                )
-                res = trainer.train(net, data, bench_config(s, lam, seed))
-                results[(seed, s, lam)] = (
-                    trainer.average_delta_rank(res.net, 0.1),
-                    res.metrics[-1].eval_acc,
-                )
-                # sanity: the run really hit its target sparsity
-                slack = len(res.net.layers) / res.net.total_weights()
-                assert res.net.sparsity() == pytest.approx(s, abs=slack + 1e-9)
+    with pytest.MonkeyPatch.context() as patch:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            patch.setenv(var, "1")  # read by numpy when a spawned worker imports it
+        with multiprocessing.get_context("spawn").Pool(min(os.cpu_count() or 1, 4)) as pool:
+            runs = pool.map(_bench_run, keys, chunksize=1)
+    results = {}
+    for key, (rank_value, acc, sparsity, slack) in zip(keys, runs):
+        # sanity: the run really hit its target sparsity
+        assert sparsity == pytest.approx(key[1], abs=slack + 1e-9)
+        results[key] = (rank_value, acc)
     results["elapsed"] = time.monotonic() - t0
     return results
 

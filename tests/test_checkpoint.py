@@ -1,10 +1,16 @@
 """Binary checkpoint round-trips and corruption handling."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankprune import checkpoint as ckpt
-from rankprune import model
+from rankprune import datasets, model, rank, trainer
+from rankprune.rank import RankLossConfig
+from rankprune.sparsity import GrowSchedule, SparsitySchedule
 from rankprune.trainer import OptimizerState
 
 
@@ -221,3 +227,92 @@ def test_network_from_needs_layer_tensors():
     with pytest.raises(ckpt.CheckpointError) as err:
         ckpt.network_from(state)
     assert str(err.value) == "empty.bin: no layer tensors found"
+
+
+@pytest.fixture(scope="module")
+def real_checkpoint(tmp_path_factory):
+    """(path, bytes) of the checkpoint of a trained, pruned conv -> dense network."""
+    spec = datasets.SyntheticDatasetSpec(num_classes=3, features=36, samples_per_class=20,
+                                         cluster_spread=0.8, seed=2)
+    data = datasets.make_blobs(spec)
+    data.train_x = data.train_x.reshape(-1, 1, 6, 6)
+    data.eval_x = data.eval_x.reshape(-1, 1, 6, 6)
+    net = model.build_network((1, 6, 6), [("conv2d", 3, 3, 3), ("dense", 6)], 3, seed=1)
+    cfg = trainer.TrainConfig(SparsitySchedule(0.8, 20, 10, 30), GrowSchedule(0.3), RankLossConfig(lam=0.1),
+                              batch_size=8)
+    res = trainer.train(net, data, cfg)
+    path = tmp_path_factory.mktemp("fuzz") / "real.bin"
+    ckpt.save_checkpoint(path, ckpt.state_from(res.net, res.optimizer, res.final_step, bytes(32)))
+    return path, path.read_bytes()
+
+
+def analyze_like(path):
+    """What `analyze` does with a checkpoint: load, rebuild, one spectrum per layer."""
+    net = ckpt.network_from(ckpt.load_checkpoint(path))
+    for layer in net.layers:
+        rank.layer_spectrum(model.reshape_to_matrix(layer), 0.1)
+
+
+def assert_fails_only_with_checkpoint_error(path, blob):
+    mutant = path.with_name("mutant.bin")
+    mutant.write_bytes(blob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            analyze_like(mutant)
+        except ckpt.CheckpointError as exc:
+            assert str(exc).startswith(f"{mutant}: ")
+
+
+def test_real_checkpoint_analyzes(real_checkpoint):
+    analyze_like(real_checkpoint[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut=st.integers(min_value=0))
+def test_truncated_checkpoint_fails_only_with_checkpoint_error(real_checkpoint, cut):
+    path, data = real_checkpoint
+    assert_fails_only_with_checkpoint_error(path, data[: cut % len(data)])
+
+
+@settings(max_examples=600, deadline=None)
+@given(bits=st.lists(st.integers(min_value=0), min_size=1, max_size=4))
+def test_bit_flipped_checkpoint_fails_only_with_checkpoint_error(real_checkpoint, bits):
+    path, data = real_checkpoint
+    blob = bytearray(data)
+    for bit in bits:
+        bit %= 8 * len(blob)
+        blob[bit // 8] ^= 1 << (bit % 8)
+    assert_fails_only_with_checkpoint_error(path, bytes(blob))
+
+
+@pytest.mark.parametrize("tensor, value, message", [
+    ("layer1.weight", 1e300, "layer1.weight has a Frobenius norm that is not finite"),
+    ("layer1.bias", np.nan, "layer1.bias holds entries that are not finite"),
+    ("layer0.momentum", -np.inf, "layer0.momentum holds entries that are not finite"),
+])
+def test_restore_rejects_nonfinite_values(tensor, value, message):
+    _, _, state = make_state()
+    state.path = "c.bin"
+    arr = state.tensors[tensor].copy()
+    arr.ravel()[0] = value  # position 0 is active in every mask
+    state.tensors[tensor] = arr
+    with pytest.raises(ckpt.CheckpointError) as err:
+        ckpt.network_from(state)
+    assert str(err.value) == f"c.bin: {message}"
+
+
+def test_undecodable_name_and_too_many_dimensions(tmp_path):
+    path = tmp_path / "c.bin"
+    ckpt.save_checkpoint(path, ckpt.TrainState(3, bytes(32), {"b\u00e9": np.zeros(2)}))
+    data = path.read_bytes()
+    path.write_bytes(data.replace("b\u00e9".encode(), b"b\xff\xfe"))
+    with pytest.raises(ckpt.CheckpointError, match="a tensor name is not UTF-8"):
+        ckpt.load_checkpoint(path)
+    ckpt.save_checkpoint(path, ckpt.TrainState(3, bytes(32), {"t": np.zeros((0, 1, 1))}))
+    data = bytearray(path.read_bytes())
+    header = len(ckpt.MAGIC) + 12 + 32 + 4  # the first tensor's <HBB: name length, dtype code, ndim
+    data[header + 3] = 65
+    path.write_bytes(bytes(data[: header + 5]) + bytes(4 * 65))  # 65 zero dimensions, no payload
+    with pytest.raises(ckpt.CheckpointError, match="tensor 't' of shape"):
+        ckpt.load_checkpoint(path)

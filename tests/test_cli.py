@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import conv_reference
 import numpy as np
 import pytest
 from test_datasets import write_idx_pair
@@ -211,6 +212,21 @@ class TestCmdTrain:
         assert f"{images}: images are 1x12x12, which does not fit [model] input {want}" in err
         assert not (tmp_path / "run" / "metrics.csv").exists()
 
+    def test_conv_run_matches_reference_layout(self, tmp_path, monkeypatch):
+        # masks every 10 steps; the second layer's GEMMs are large enough for the blocked kernel
+        pixels = np.random.default_rng(3).integers(0, 256, (40, 10, 10), dtype=np.uint8)
+        images, labels = write_idx_pair(tmp_path, pixels, [i % 4 for i in range(40)])
+        runs = []
+        for name in ("run", "reference"):
+            cfg_path = tmp_path / f"{name}.cfg"
+            cfg_path.write_text(IDX_CONFIG.format(model="input = 1x10x10\nlayers = conv:8x3x3, conv:16x3x3",
+                                                  images=images, labels=labels, out=tmp_path / name))
+            if name == "reference":
+                conv_reference.install(monkeypatch)
+            assert main(["train", "--config", str(cfg_path)]) == 0
+            runs.append([(tmp_path / name / f).read_bytes() for f in ("metrics.csv", "checkpoint.bin")])
+        assert runs[0] == runs[1]
+
     def test_stop_between_record_steps_gives_null_summary_fields(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
         assert main(["train", "--config", str(cfg_path), "--stop-after", "70"]) == 0
@@ -239,6 +255,16 @@ class TestCmdTrain:
         assert re.fullmatch(r"error: step \d+: task loss is nan; the (weights|activations) of layer \w+ are not finite\n", err), err
         assert not (out / "checkpoint.bin").exists()
         assert not (out / "metrics.csv").exists()
+
+    def test_weight_norm_overflow_names_step_and_layer(self, tmp_path, capsys):
+        toy = (Path(__file__).resolve().parent.parent / "configs" / "toy.cfg").read_text(encoding="utf-8")
+        cfg_path = tmp_path / "lr1e306.cfg"
+        cfg_path.write_text(toy.replace("learning_rate = 0.03", "learning_rate = 1e306")
+                            .replace("update_interval = 100", "update_interval = 1"), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: step 1: the weight norm of layer dense0 is inf\n"
+        assert not (out / "checkpoint.bin").exists()
 
     def test_resume_with_wrong_config_rejected(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)

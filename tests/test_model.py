@@ -1,5 +1,6 @@
 """Forward/backward correctness for the dense/conv networks."""
 
+import conv_reference as ref
 import numpy as np
 import pytest
 
@@ -275,3 +276,53 @@ class TestBackward:
                 net.touch()
                 fd = (model.task_loss(lp, labels) - model.task_loss(lm, labels)) / (2 * eps)
                 assert fd == pytest.approx(grads[li][1][j], rel=1e-4, abs=1e-9)
+
+
+KERNELS = [(1, 1), (3, 3), (5, 5), (3, 5), (2, 2)]
+REFERENCE_CASES = [
+    ((3, 9, 7), convs, kernel, batch)
+    for kernel in KERNELS
+    for convs in ((4, 6), (4,))  # conv -> conv -> dense head, conv -> dense head
+    for batch in (1, 32)
+] + [((1, 12, 12), (8, 16), (3, 3), 32)]
+
+
+def reference_case(input_shape, convs, kernel, batch, seed=0):
+    """A masked network with a dead filter and a dead input channel in every
+    conv layer, and one random batch."""
+    rng = np.random.default_rng(seed)
+    specs = [("conv2d", out, *kernel) for out in convs]
+    net = model.build_network(input_shape, specs, 5, seed=seed)
+    for layer in net.layers:
+        m = (rng.random(layer.params.weight.shape) < 0.7).astype(float)
+        if layer.kind == "conv2d":
+            m[0] = 0.0
+            if m.shape[1] > 1:
+                m[:, -1] = 0.0
+        layer.params.set_mask(m)
+        layer.bias = rng.normal(size=layer.bias.shape) * 0.1
+    return net, Batch(rng.normal(size=(batch, *input_shape)), rng.integers(0, 5, batch))
+
+
+class TestMatchesReference:
+    """The (c, b, h, w) conv layout gives the bits of the NCHW reference."""
+
+    @pytest.mark.parametrize("input_shape,convs,kernel,batch", REFERENCE_CASES)
+    def test_logits_and_gradients_bitwise(self, input_shape, convs, kernel, batch):
+        net, batch_ = reference_case(input_shape, convs, kernel, batch)
+        logits, cache = model.forward(net, batch_)
+        ref_logits, ref_cache = ref.forward(net, batch_)
+        np.testing.assert_array_equal(logits, ref_logits)
+        grads = model.backward(net, cache, batch_.labels)
+        for (dw, db), (ref_dw, ref_db) in zip(grads, ref.backward(net, ref_cache, batch_.labels)):
+            np.testing.assert_array_equal(dw, ref_dw)
+            np.testing.assert_array_equal(db, ref_db)
+
+    def test_cases_store_patches_both_ways(self):
+        # small conv GEMMs keep the patch matrix one row per pixel; the cases cover both
+        orders = set()
+        for case in REFERENCE_CASES:
+            net, batch = reference_case(*case)
+            _, cache = model.forward(net, batch)
+            orders |= {s["cols"].flags.c_contiguous for s in cache["steps"] if "cols" in s}
+        assert orders == {True, False}

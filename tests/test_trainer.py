@@ -305,6 +305,16 @@ class TestTrain:
         assert not str(exc.value).startswith("step 1:")
         assert all(np.all(np.isfinite(l.params.weight)) for l in net.layers)
 
+    def test_weight_norm_overflow_at_record_step_names_step_and_layer(self):
+        # step 1's loss is finite, but its update leaves finite weights whose
+        # squared sum overflows; step 1 records rank metrics
+        net = small_net()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            trainer.DivergenceError, match=f"^step 1: the weight norm of layer {net.layers[0].name} is inf$"
+        ):
+            trainer.train(net, small_dataset(), small_config(prune=200, interval=1, learning_rate=1e306))
+        assert all(np.all(np.isfinite(l.params.weight)) for l in net.layers)
+
     def test_indivisible_schedule_rejected(self):
         with pytest.raises(ScheduleError):
             small_config(prune=130, interval=50, total=200)
