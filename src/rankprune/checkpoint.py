@@ -109,22 +109,18 @@ def restore_into(state: TrainState, net: Network, opt: OptimizerState) -> None:
 def network_from(state: TrainState) -> Network:
     """The network a checkpoint describes, restored through restore_into.
 
-    Layer i is dense if layer{i}.weight is 2-D and conv2d if it is 4-D, and an
-    empty weight is rejected; all layers but the last are ReLU, as
-    build_network makes them.
+    Each layer{i}.weight must be a nonempty 2-D (dense) or 4-D (conv2d) tensor.
     """
     layers = []
     while (weight := state.tensors.get(f"layer{len(layers)}.weight")) is not None:
         name = f"layer{len(layers)}"
         if weight.ndim not in (2, 4) or weight.size == 0:
             raise state.error(f"{name}.weight has shape {weight.shape}, not a nonempty 2-D (dense) or 4-D (conv2d) one")
-        kind = "dense" if weight.ndim == 2 else "conv2d"
         params = MaskedTensor(np.zeros(weight.shape), np.ones(weight.shape))
-        layers.append(Layer(kind, params, np.zeros(weight.shape[0]), "relu", name))
+        layers.append(Layer(params, np.zeros(weight.shape[0]), name))
     if not layers:
         raise state.error("no layer tensors found")
-    layers[-1].activation = "none"
-    net = Network(layers, num_classes=layers[-1].params.weight.shape[0])
+    net = Network(layers)
     restore_into(state, net, OptimizerState.zeros_like(net))
     return net
 

@@ -134,10 +134,17 @@ def cmd_sweep_lambda(args) -> int:
     if not lambdas:
         print("error: need at least one lambda value", file=sys.stderr)
         return 1
+    threads = os.environ.get("RANKPRUNE_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        print(f"error: RANKPRUNE_THREADS must be an integer >= 1, got {threads!r}", file=sys.stderr)
+        return 1
     out_dir = Path(cfg.report.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, lam, out_dir / f"lambda_{lam:g}") for lam in lambdas]
-    workers = int(os.environ.get("RANKPRUNE_THREADS", "1"))
     if workers > 1 and len(jobs) > 1:
         import multiprocessing as mp
 

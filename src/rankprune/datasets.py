@@ -30,6 +30,10 @@ __all__ = [
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
+# make_blobs draws this many fresh eval points per training point;
+# stack_batches holds out this share of the images
+EVAL_FRACTION = 0.2
+
 
 @dataclass(frozen=True)
 class SyntheticDatasetSpec:
@@ -60,7 +64,7 @@ def _stream(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.PCG64(np.random.SeedSequence([seed, key])))
 
 
-def make_blobs(spec: SyntheticDatasetSpec, eval_fraction: float = 0.2) -> Dataset:
+def make_blobs(spec: SyntheticDatasetSpec) -> Dataset:
     """Isotropic Gaussian clusters; eval points drawn fresh from the same clusters."""
     centers = _stream(spec.seed, 0).normal(0.0, 1.0, (spec.num_classes, spec.features))
 
@@ -73,7 +77,7 @@ def make_blobs(spec: SyntheticDatasetSpec, eval_fraction: float = 0.2) -> Datase
             ys.append(np.full(per_class, c, dtype=np.int64))
         return np.concatenate(xs), np.concatenate(ys)
 
-    eval_per_class = max(1, int(round(spec.samples_per_class * eval_fraction)))
+    eval_per_class = max(1, int(round(spec.samples_per_class * EVAL_FRACTION)))
     train_x, train_y = draw(1, spec.samples_per_class)
     eval_x, eval_y = draw(2, eval_per_class)
     return Dataset(train_x, train_y, eval_x, eval_y)
@@ -148,7 +152,7 @@ class EmptyBatchError(ValueError):
     """A batch to split holds no images."""
 
 
-def stack_batches(batch: Batch, eval_fraction: float = 0.2, flatten: bool = False) -> Dataset:
+def stack_batches(batch: Batch, flatten: bool = False) -> Dataset:
     """Split a batch of images into train/eval arrays (deterministic tail split)."""
     x, y = batch.inputs, batch.labels
     count = x.shape[0]
@@ -156,7 +160,7 @@ def stack_batches(batch: Batch, eval_fraction: float = 0.2, flatten: bool = Fals
         raise EmptyBatchError("batch holds no images to split")
     if flatten:
         x = x.reshape(count, -1)
-    n_eval = max(1, int(round(count * eval_fraction)))
+    n_eval = max(1, int(round(count * EVAL_FRACTION)))
     n_eval = min(n_eval, count - 1) if count > 1 else 0
     cut = count - n_eval
     return Dataset(x[:cut], y[:cut], x[cut:], y[cut:])

@@ -30,7 +30,6 @@ __all__ = [
     "Network",
     "Batch",
     "reshape_to_matrix",
-    "matrix_to_tensor",
     "forward",
     "task_loss",
     "loss_and_dout",
@@ -72,12 +71,11 @@ class MaskedTensor:
 
 @dataclass
 class Layer:
-    """One prunable layer: dense (out, in) or conv2d (out, in, kh, kw)."""
+    """One prunable layer, dense if its weight is (out, in) and conv2d if it is
+    (out, in, kh, kw). ReLU follows every layer of a Network but the last."""
 
-    kind: str  # "dense" | "conv2d"
     params: MaskedTensor
     bias: np.ndarray
-    activation: str  # "relu" | "none"
     name: str = ""
 
 
@@ -91,8 +89,9 @@ class Batch:
 
 @dataclass
 class Network:
+    """Layers in order; the last one's outputs are the class logits."""
+
     layers: list[Layer]
-    num_classes: int
     # bumped whenever parameters or masks change; guards stale backward caches
     version: int = 0
 
@@ -119,20 +118,11 @@ def reshape_to_matrix(layer: Layer) -> np.ndarray:
 
     Dense (out, in) stays as-is; conv (o, i, kh, kw) flattens to
     (o, i*kh*kw) in C order, so row o holds filter o's entries ordered by
-    (input channel, kernel row, kernel col). matrix_to_tensor inverts exactly.
+    (input channel, kernel row, kernel col), and reshaping to the weight's
+    shape inverts it exactly.
     """
     w = layer.params.effective()
-    if layer.kind == "dense":
-        return w
-    if layer.kind == "conv2d":
-        o = w.shape[0]
-        return w.reshape(o, -1)
-    raise ConfigurationError(f"unknown layer kind {layer.kind!r}")
-
-
-def matrix_to_tensor(mat: np.ndarray, shape: tuple) -> np.ndarray:
-    """Inverse of the reshape above: restore the original tensor shape."""
-    return np.asarray(mat).reshape(shape)
+    return w.reshape(w.shape[0], -1)
 
 
 def _he_uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
@@ -150,21 +140,11 @@ def build_network(input_shape, layer_specs, num_classes: int, seed: int) -> Netw
     rng = np.random.default_rng(np.random.PCG64(np.random.SeedSequence([seed, 0])))
     layers: list[Layer] = []
     shape = tuple(input_shape) if not np.isscalar(input_shape) else (int(input_shape),)
-    for idx, spec in enumerate(layer_specs):
+    for idx, spec in enumerate([*layer_specs, ("dense", num_classes)]):
         kind = spec[0]
         if kind == "dense":
             (out,) = spec[1:]
-            fan_in = int(np.prod(shape))
-            w = _he_uniform(rng, (out, fan_in), fan_in)
-            layers.append(
-                Layer(
-                    kind="dense",
-                    params=MaskedTensor(w, np.ones_like(w)),
-                    bias=np.zeros(out),
-                    activation="relu",
-                    name=f"dense{idx}",
-                )
-            )
+            w_shape, name = (out, int(np.prod(shape))), f"dense{idx}"
             shape = (out,)
         elif kind == "conv2d":
             out, kh, kw = spec[1:]
@@ -173,32 +153,14 @@ def build_network(input_shape, layer_specs, num_classes: int, seed: int) -> Netw
                     f"conv2d layer {idx} needs (c, h, w) input, got shape {shape}"
                 )
             c, h, wd = shape
-            fan_in = c * kh * kw
-            w = _he_uniform(rng, (out, c, kh, kw), fan_in)
-            layers.append(
-                Layer(
-                    kind="conv2d",
-                    params=MaskedTensor(w, np.ones_like(w)),
-                    bias=np.zeros(out),
-                    activation="relu",
-                    name=f"conv{idx}",
-                )
-            )
+            w_shape, name = (out, c, kh, kw), f"conv{idx}"
             shape = (out, h, wd)
         else:
             raise ConfigurationError(f"unknown layer kind {kind!r}")
-    fan_in = int(np.prod(shape))
-    w = _he_uniform(rng, (num_classes, fan_in), fan_in)
-    layers.append(
-        Layer(
-            kind="dense",
-            params=MaskedTensor(w, np.ones_like(w)),
-            bias=np.zeros(num_classes),
-            activation="none",
-            name="head",
-        )
-    )
-    return Network(layers=layers, num_classes=num_classes)
+        w = _he_uniform(rng, w_shape, int(np.prod(w_shape[1:])))
+        layers.append(Layer(MaskedTensor(w, np.ones_like(w)), np.zeros(out), name))
+    layers[-1].name = "head"
+    return Network(layers)
 
 
 # Both GEMMs on the patch matrix give their result in the orientation of
@@ -251,9 +213,10 @@ def forward(net: Network, batch: Batch):
     if x.ndim == 4:
         x = x.swapaxes(0, 1)  # (c, b, h, w), see the module docstring
     steps = []
-    for layer in net.layers:
+    last = len(net.layers) - 1
+    for idx, layer in enumerate(net.layers):
         e = layer.params.effective()
-        if layer.kind == "dense":
+        if e.ndim == 2:
             if x.ndim == 4:
                 x = x.swapaxes(0, 1)
             if x.ndim > 2:
@@ -264,7 +227,7 @@ def forward(net: Network, batch: Batch):
                 )
             pre = x @ e.T + layer.bias
             step = {"x": x, "e": e, "pre": pre}
-        elif layer.kind == "conv2d":
+        else:
             if x.ndim != 4:
                 raise ConfigurationError(
                     f"layer {layer.name}: conv2d needs (b, c, h, w) input, got {x.shape}"
@@ -281,16 +244,12 @@ def forward(net: Network, batch: Batch):
             pre = np.add((cols.T @ e.reshape(o, -1).T).T, layer.bias[:, None], order="C")
             pre = pre.reshape(o, b, h, w)
             step = {"x": x, "e": e, "cols": cols, "pre": pre}
-        else:
-            raise ConfigurationError(f"unknown layer kind {layer.kind!r}")
-        x = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+        x = np.maximum(pre, 0.0) if idx < last else pre
         step["out"] = x
         steps.append(step)
     logits = x
-    if logits.ndim != 2 or logits.shape[1] != net.num_classes:
-        raise ConfigurationError(
-            f"logits shape {logits.shape} does not match {net.num_classes} classes"
-        )
+    if logits.ndim != 2:
+        raise ConfigurationError(f"logits shape {logits.shape}: the last layer must be dense")
     cache = {"steps": steps, "version": net.version, "net_id": id(net)}
     return logits, cache
 
@@ -338,14 +297,14 @@ def backward(net: Network, cache, labels, dout=None) -> list[tuple[np.ndarray, n
     if dout is None:
         dout = loss_and_dout(steps[-1]["out"], labels)[1]
 
+    last = len(net.layers) - 1
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
-    for idx in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[idx]
+    for idx in range(last, -1, -1):
         step = steps[idx]
-        if layer.activation == "relu":
+        if idx < last:
             dout = dout * (step["pre"] > 0.0)
         e = step["e"]
-        if layer.kind == "dense":
+        if e.ndim == 2:
             dw = dout.T @ step["x"]
             db = dout.sum(axis=0)
         else:
@@ -361,7 +320,7 @@ def backward(net: Network, cache, labels, dout=None) -> list[tuple[np.ndarray, n
         grads[idx] = (dw, db)
         if idx == 0:
             break
-        if layer.kind == "dense":
+        if e.ndim == 2:
             dout = dout @ e
             if steps[idx - 1]["out"].ndim == 4:
                 c, b, h, w = steps[idx - 1]["out"].shape

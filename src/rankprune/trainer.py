@@ -15,13 +15,14 @@ having stopped.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
 from . import model, rank, sparsity
 from .linalg import frobenius_norm
-from .model import Batch, Network, accuracy, backward, forward, loss_and_dout, matrix_to_tensor
+from .model import Batch, Network, accuracy, backward, forward, loss_and_dout
 from .rank import DegenerateSpectrumError, DegenerateWeightError, RankLossConfig
 from .sparsity import GrowSchedule, ScheduleError, SparsitySchedule
 
@@ -111,23 +112,14 @@ class MetricsRecord:
     train_acc: float
     eval_acc: float | None
 
-    CSV_HEADER = "step,sparsity,task_loss,rank_loss,avg_delta_rank,train_acc,eval_acc"
+    CSV_HEADER: ClassVar[str]  # the field names, set below the class
 
     def csv_row(self) -> str:
-        def cell(x):
-            return "" if x is None else repr(x)
+        values = (getattr(self, f.name) for f in fields(self))
+        return ",".join("" if v is None else repr(v) for v in values)
 
-        return ",".join(
-            [
-                str(self.step),
-                repr(self.sparsity),
-                repr(self.task_loss),
-                cell(self.rank_loss),
-                cell(self.avg_delta_rank),
-                repr(self.train_acc),
-                cell(self.eval_acc),
-            ]
-        )
+
+MetricsRecord.CSV_HEADER = ",".join(f.name for f in fields(MetricsRecord))
 
 
 @dataclass
@@ -164,8 +156,7 @@ def combined_gradient(net: Network, batch: Batch, rank_cfg: RankLossConfig):
             logger.info("rank term skipped for %s: %s", layer.name, exc)
             continue
         dw, db = grads[idx]
-        rank_grad = matrix_to_tensor(term.gradient, layer.params.weight.shape)
-        grads[idx] = (dw + lam * rank_grad, db)
+        grads[idx] = (dw + lam * term.gradient.reshape(dw.shape), db)
     return grads
 
 

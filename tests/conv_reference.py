@@ -42,9 +42,9 @@ def _col2im(cols, x_shape, kh, kw):
 def forward(net, batch):
     x = np.asarray(batch.inputs, dtype=np.float64)
     steps = []
-    for layer in net.layers:
+    for idx, layer in enumerate(net.layers):
         e = layer.params.effective()
-        if layer.kind == "dense":
+        if e.ndim == 2:
             if x.ndim > 2:
                 x = x.reshape(x.shape[0], -1)
             if x.shape[1] != e.shape[1]:
@@ -53,7 +53,7 @@ def forward(net, batch):
                 )
             pre = x @ e.T + layer.bias
             step = {"x": x, "e": e, "pre": pre}
-        elif layer.kind == "conv2d":
+        elif e.ndim == 4:
             if x.ndim != 4:
                 raise ConfigurationError(
                     f"layer {layer.name}: conv2d needs (b, c, h, w) input, got {x.shape}"
@@ -67,13 +67,14 @@ def forward(net, batch):
             pre = pre_cols.reshape(b, h, w, o).transpose(0, 3, 1, 2)
             step = {"x": x, "e": e, "cols": cols, "pre": pre}
         else:
-            raise ConfigurationError(f"unknown layer kind {layer.kind!r}")
-        x = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+            raise ConfigurationError(f"layer {layer.name}: weight shape {e.shape} is neither dense nor conv2d")
+        x = np.maximum(pre, 0.0) if idx < len(net.layers) - 1 else pre
         step["out"] = x
         steps.append(step)
     logits = x
-    if logits.ndim != 2 or logits.shape[1] != net.num_classes:
-        raise ConfigurationError(f"logits shape {logits.shape} does not match {net.num_classes} classes")
+    num_classes = net.layers[-1].params.weight.shape[0]
+    if logits.ndim != 2 or logits.shape[1] != num_classes:
+        raise ConfigurationError(f"logits shape {logits.shape} does not match {num_classes} classes")
     return logits, {"steps": steps, "version": net.version, "net_id": id(net)}
 
 
@@ -85,12 +86,11 @@ def backward(net, cache, labels, dout=None):
         dout = loss_and_dout(steps[-1]["out"], labels)[1]
     grads = [None] * len(net.layers)
     for idx in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[idx]
         step = steps[idx]
-        if layer.activation == "relu":
+        if idx < len(net.layers) - 1:
             dout = dout * (step["pre"] > 0.0)
         e = step["e"]
-        if layer.kind == "dense":
+        if e.ndim == 2:
             dw = dout.T @ step["x"]
             db = dout.sum(axis=0)
         else:
@@ -102,7 +102,7 @@ def backward(net, cache, labels, dout=None):
         grads[idx] = (dw, db)
         if idx == 0:
             break
-        if layer.kind == "dense":
+        if e.ndim == 2:
             dout = (dout @ e).reshape(steps[idx - 1]["out"].shape)
         else:
             dout = _col2im(dout @ e.reshape(o, -1), step["x"].shape, kh, kw)

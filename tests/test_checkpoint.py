@@ -206,8 +206,6 @@ def test_network_from_rebuilds_the_network(input_shape, specs):
         layer.params.set_mask(np.arange(w.size).reshape(w.shape) % 3 != 0)
     rebuilt = ckpt.network_from(ckpt.state_from(net, OptimizerState.zeros_like(net), 9, bytes(32)))
     assert [l.name for l in rebuilt.layers] == [f"layer{i}" for i in range(len(net.layers))]
-    assert [(l.kind, l.activation) for l in rebuilt.layers] == [(l.kind, l.activation) for l in net.layers]
-    assert rebuilt.num_classes == net.num_classes
     assert rebuilt.sparsity() == net.sparsity()
     batch = model.Batch(np.random.default_rng(3).random((4, *input_shape)), np.zeros(4, dtype=int))
     assert np.array_equal(model.forward(rebuilt, batch)[0], model.forward(net, batch)[0])

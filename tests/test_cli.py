@@ -319,6 +319,15 @@ class TestCmdSweep:
         cfg_path, _ = write_config(tmp_path)
         assert main(["sweep-lambda", "--config", str(cfg_path), "--lambdas", ""]) == 1
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_thread_count_rejected_before_writing(self, tmp_path, capsys, monkeypatch, threads):
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        monkeypatch.setenv("RANKPRUNE_THREADS", threads)
+        assert main(["sweep-lambda", "--config", str(cfg_path), "--lambdas", "0", "--out", str(out)]) == 1
+        assert f"RANKPRUNE_THREADS must be an integer >= 1, got {threads!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parallel_workers_match_sequential(self, tmp_path, monkeypatch):
         cfg_path, _ = write_config(tmp_path)
         seq_out = tmp_path / "seq"

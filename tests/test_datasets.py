@@ -106,7 +106,7 @@ class TestIdx:
         pixels = np.arange(5 * 2 * 2, dtype=np.uint8).reshape(5, 2, 2)
         ipath, lpath = write_idx_pair(tmp_path, pixels, [0, 1, 0, 1, 0])
         batch = datasets.load_idx_images(ipath, lpath)
-        d = datasets.stack_batches(batch, eval_fraction=0.2, flatten=True)
+        d = datasets.stack_batches(batch, flatten=True)
         assert d.train_x.shape == (4, 4)
         assert d.eval_x.shape == (1, 4)
         np.testing.assert_allclose(d.train_x[0], pixels[0].ravel() / 255.0)

@@ -53,10 +53,9 @@ class TestReshape:
     def test_round_trip_exhaustive(self):
         rng = np.random.default_rng(0)
         w = rng.normal(size=(4, 2, 3, 3))
-        layer = model.Layer("conv2d", MaskedTensor(w, np.ones_like(w)), np.zeros(4), "relu")
+        layer = model.Layer(MaskedTensor(w, np.ones_like(w)), np.zeros(4))
         mat = model.reshape_to_matrix(layer)
-        back = model.matrix_to_tensor(mat, w.shape)
-        assert np.array_equal(back, w)
+        assert np.array_equal(mat.reshape(w.shape), w)
         # index map: mat[o, c*9 + i*3 + j] == w[o, c, i, j]
         for o in range(4):
             for c in range(2):
@@ -103,6 +102,29 @@ class TestForward:
         h = np.maximum(h, 0.0)
         expected = naive_dense(h, net.layers[2].params.effective(), net.layers[2].bias)
         np.testing.assert_allclose(logits, expected, atol=1e-12)
+
+    def test_relu_follows_every_layer_but_the_last(self):
+        # built by hand, as tests/test_sparsity.py::toy_network builds one
+        rng = np.random.default_rng(7)
+        w0, b0, w1, b1 = rng.normal(size=(6, 4)), rng.normal(size=6), rng.normal(size=(3, 6)), rng.normal(size=3)
+        layers = [
+            model.Layer(params=MaskedTensor(w, np.ones_like(w)), bias=b, name=f"l{i}")
+            for i, (w, b) in enumerate(((w0, b0), (w1, b1)))
+        ]
+        net = model.Network(layers=layers)
+        x, labels = rng.normal(size=(5, 4)), np.array([0, 1, 2, 0, 1])
+        logits, cache = model.forward(net, Batch(x, labels))
+        pre0 = x @ w0.T + b0
+        assert (pre0 < 0).any() and (logits < 0).any()  # both rules are exercised
+        np.testing.assert_array_equal(logits, np.maximum(pre0, 0.0) @ w1.T + b1)
+
+        (dw0, db0), (dw1, db1) = model.backward(net, cache, labels)
+        dout = model.loss_and_dout(logits, labels)[1]
+        np.testing.assert_array_equal(dw1, dout.T @ np.maximum(pre0, 0.0))
+        np.testing.assert_array_equal(db1, dout.sum(axis=0))
+        dpre0 = (dout @ w1) * (pre0 > 0.0)
+        np.testing.assert_array_equal(dw0, dpre0.T @ x)
+        np.testing.assert_array_equal(db0, dpre0.sum(axis=0))
 
     def test_shape_mismatch_is_config_error(self):
         net = model.build_network(3, [("dense", 4)], 2, seed=0)
@@ -295,7 +317,7 @@ def reference_case(input_shape, convs, kernel, batch, seed=0):
     net = model.build_network(input_shape, specs, 5, seed=seed)
     for layer in net.layers:
         m = (rng.random(layer.params.weight.shape) < 0.7).astype(float)
-        if layer.kind == "conv2d":
+        if m.ndim == 4:
             m[0] = 0.0
             if m.shape[1] > 1:
                 m[:, -1] = 0.0

@@ -241,14 +241,12 @@ def toy_network(seed=0, sizes=((5, 6),)):
         w = rng.normal(size=(out, inp))
         layers.append(
             model.Layer(
-                kind="dense",
                 params=model.MaskedTensor(w, np.ones_like(w)),
                 bias=np.zeros(out),
-                activation="relu",
                 name=f"l{i}",
             )
         )
-    return model.Network(layers=layers, num_classes=sizes[-1][0])
+    return model.Network(layers=layers)
 
 
 class TestUpdateMasks:
