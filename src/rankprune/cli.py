@@ -126,13 +126,24 @@ def _sweep_one(payload):
 
 def cmd_sweep_lambda(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
+    texts = [s.strip() for s in args.lambdas.split(",") if s.strip() != ""]
     try:
-        lambdas = [float(s) for s in args.lambdas.split(",") if s.strip() != ""]
+        lambdas = [float(s) for s in texts]
     except ValueError:
         print(f"error: bad lambda list {args.lambdas!r}", file=sys.stderr)
         return 1
     if not lambdas:
         print("error: need at least one lambda value", file=sys.stderr)
+        return 1
+    bad = [t for t, lam in zip(texts, lambdas) if not (np.isfinite(lam) and lam >= 0.0)]
+    if bad:
+        print(f"error: --lambdas: lambda must be finite and >= 0, got {', '.join(bad)}", file=sys.stderr)
+        return 1
+    # each run writes lambda_{lam:g}, so two values may not print the same there
+    dirs = [f"lambda_{lam:g}" for lam in lambdas]
+    shared = [f"{t} -> {d}" for t, d in zip(texts, dirs) if dirs.count(d) > 1]
+    if shared:
+        print(f"error: --lambdas: values share an output directory: {', '.join(shared)}", file=sys.stderr)
         return 1
     threads = os.environ.get("RANKPRUNE_THREADS", "1")
     try:
@@ -144,7 +155,7 @@ def cmd_sweep_lambda(args) -> int:
         return 1
     out_dir = Path(cfg.report.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(cfg, lam, out_dir / f"lambda_{lam:g}") for lam in lambdas]
+    jobs = [(cfg, lam, out_dir / d) for lam, d in zip(lambdas, dirs)]
     if workers > 1 and len(jobs) > 1:
         import multiprocessing as mp
 

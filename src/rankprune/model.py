@@ -10,10 +10,19 @@ Convolutions are stride 1, zero-padded to keep spatial size, and lowered to
 one GEMM each (im2col; Chellapilla et al. 2006). Between conv layers the
 activations are (c, b, h, w): channels first, then batch. The patch matrix is
 then (c*kh*kw, b*h*w), its rows in the (c, kh, kw) order of the flattened
-weight, and both its gather and its adjoint scatter move whole contiguous
-image rows. Inputs are turned from (b, c, h, w) at the first layer, and back
-at the flatten into a dense layer. Channels-last (b, h, w, c) would make the
+weight. Inputs are turned from (b, c, h, w) at the first layer, and back at
+the flatten into a dense layer. Channels-last (b, h, w, c) would make the
 gather strided, since each patch row runs over (c, kh, kw).
+
+On the (c, b*h*w) view of the activations, kernel offset (di, dj) of a
+same-padded conv is a flat shift of the whole plane by s = si*w + sj, with
+(si, sj) = (di - (kh-1)//2, dj - (kw-1)//2). So the gather copies one
+shifted plane per offset, and the adjoint scatter adds one. Where the offset
+leaves the image, in a strip of |si| rows or |sj| columns of each image, the
+shift wraps into a neighbouring row or image instead; the gather zeroes those
+entries after its copy and the scatter before its add. The scatter thus adds
++0.0 at positions the offset does not reach, which leaves every bit as it
+was: each running sum starts at +0.0 and so is never -0.0.
 """
 
 from __future__ import annotations
@@ -172,39 +181,68 @@ def build_network(input_shape, layer_specs, num_classes: int, seed: int) -> Netw
 # the patch matrix is stored one row per pixel, as in the reference.
 _BLOCKED_GEMM_MIN = 10**6
 
+# _im2col leaves a patch matrix unfilled, since its strips cover every entry
+# its copies skip, unless it has at least this many entries (4 MiB): left
+# unfilled, the 9.9 MB matrix of conv-s90's 120-image eval batch raised that
+# run's peak RSS by about 0.8 MB in every benchmark run measured; zero-filled,
+# it did not.
+_ZERO_FILL_MIN = 2**19
 
-def _same_range(n: int, k: int, d: int) -> tuple[slice, slice]:
-    """Output positions of a same-padded stride-1 conv that kernel offset d
-    reads inside the image, and the input positions they read."""
-    top = (k - 1) // 2
-    lo, hi = max(0, top - d), min(n, n + top - d)
-    return slice(lo, hi), slice(lo + d - top, hi + d - top)
+
+def _shifts(b: int, h: int, w: int, kh: int, kw: int):
+    """Yield (k, out, src, rows, cols) for each kernel offset (di, dj), in
+    order: its patch row k = di*kw + dj; the flat ranges of output pixels and
+    of the input pixels they read, shifted by s on a plane of b*h*w pixels;
+    and the strips of rows and columns of each image where that shift wraps
+    (see the module docstring). s is clamped to the plane; a shift that
+    would leave it has a strip covering the whole image.
+    """
+    n = b * h * w
+    for di, dj in np.ndindex(kh, kw):
+        si, sj = di - (kh - 1) // 2, dj - (kw - 1) // 2
+        s = min(max(si * w + sj, -n), n)
+        rows = slice(max(0, h - si), h) if si > 0 else slice(0, min(h, -si))
+        cols = slice(max(0, w - sj), w) if sj > 0 else slice(0, min(w, -sj))
+        out = slice(max(0, -s), n - max(0, s))
+        yield di * kw + dj, out, slice(out.start + s, out.stop + s), rows, cols
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """(c, b, h, w) -> (c*kh*kw, b*h*w) patches for stride-1 same conv.
 
     Row (c, di, dj) is channel c shifted by kernel offset (di, dj), zero
-    where the shift leaves the image.
+    where the shift leaves the image. Each offset is one copy of the shifted
+    (c, b*h*w) plane, after which its strips are zeroed.
     """
     c, b, h, w = x.shape
-    cols = np.zeros((c, kh, kw, b, h, w))
-    for di, dj in np.ndindex(kh, kw):
-        (out_i, in_i), (out_j, in_j) = _same_range(h, kh, di), _same_range(w, kw, dj)
-        cols[:, di, dj, :, out_i, out_j] = x[:, :, in_i, in_j]
-    return cols.reshape(c * kh * kw, b * h * w)
+    x = x.reshape(c, -1)
+    fill = np.zeros if x.size * kh * kw >= _ZERO_FILL_MIN else np.empty
+    patches = fill((c, kh * kw, b * h * w))
+    planes = patches.reshape(c, kh * kw, b, h, w)
+    for k, out, src, rows, cols in _shifts(b, h, w, kh, kw):
+        patches[:, k, out] = x[:, src]
+        planes[:, k, :, rows] = 0.0
+        planes[:, k, :, :, cols] = 0.0
+    return patches.reshape(c * kh * kw, -1)
 
 
 def _col2im(dcols: np.ndarray, x_shape: tuple, kh: int, kw: int) -> np.ndarray:
     """Adjoint of _im2col: (b*h*w, c*kh*kw) patch gradients to the (c, b, h, w)
-    input gradient, the kernel offsets added in (di, dj) order."""
+    input gradient, the kernel offsets added in (di, dj) order.
+
+    Each offset is one add of the shifted (c, b*h*w) plane, its strips zeroed
+    first; the module docstring says why those +0.0 adds change no bit.
+    """
     c, b, h, w = x_shape
-    dcols = np.ascontiguousarray(dcols.T).reshape(c, kh, kw, b, h, w)
-    dx = np.zeros(x_shape)
-    for di, dj in np.ndindex(kh, kw):
-        (out_i, in_i), (out_j, in_j) = _same_range(h, kh, di), _same_range(w, kw, dj)
-        dx[:, :, in_i, in_j] += dcols[:, di, dj, :, out_i, out_j]
-    return dx
+    patches = dcols.T.copy()  # (c*kh*kw, b*h*w), private: its strips get zeroed
+    planes = patches.reshape(c, kh * kw, b, h, w)
+    patches = patches.reshape(c, kh * kw, -1)
+    dx = np.zeros((c, b * h * w))
+    for k, out, src, rows, cols in _shifts(b, h, w, kh, kw):
+        planes[:, k, :, rows] = 0.0
+        planes[:, k, :, :, cols] = 0.0
+        dx[:, src] += patches[:, k, out]
+    return dx.reshape(x_shape)
 
 
 def forward(net: Network, batch: Batch):

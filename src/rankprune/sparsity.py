@@ -152,7 +152,13 @@ def global_density_split(weights, density: float, masks=None) -> list[float]:
     if masks is not None:
         active = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in masks])
     keep = np.zeros(total, dtype=bool)
-    keep[_top_k(mags, budget, active)] = True
+    # a zero or NaN magnitude ranks below every positive one, so when the
+    # positives fill the budget only they need a partition: at high sparsity
+    # most magnitudes are exact zeros, on which np.partition is slow
+    live = np.flatnonzero(mags > 0.0)
+    if budget > live.shape[0]:
+        live = np.arange(total)
+    keep[live[_top_k(mags[live], budget, None if active is None else active[live])]] = True
 
     densities = []
     start = 0

@@ -319,6 +319,23 @@ class TestCmdSweep:
         cfg_path, _ = write_config(tmp_path)
         assert main(["sweep-lambda", "--config", str(cfg_path), "--lambdas", ""]) == 1
 
+    @pytest.mark.parametrize(
+        "lambdas,named",
+        [
+            ("0.1,0.1", "0.1 -> lambda_0.1, 0.1 -> lambda_0.1"),
+            ("0.1234567,0.1234568", "0.1234567 -> lambda_0.123457, 0.1234568 -> lambda_0.123457"),
+            ("0,0.1,-1", "got -1"),
+            ("0,nan", "got nan"),
+            ("inf,0.1,-inf", "got inf, -inf"),
+        ],
+    )
+    def test_bad_lambda_list_rejected_before_writing(self, tmp_path, capsys, lambdas, named):
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        assert main(["sweep-lambda", "--config", str(cfg_path), "--lambdas", lambdas, "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
     def test_bad_thread_count_rejected_before_writing(self, tmp_path, capsys, monkeypatch, threads):
         cfg_path, _ = write_config(tmp_path)

@@ -306,7 +306,19 @@ REFERENCE_CASES = [
     for kernel in KERNELS
     for convs in ((4, 6), (4,))  # conv -> conv -> dense head, conv -> dense head
     for batch in (1, 32)
-] + [((1, 12, 12), (8, 16), (3, 3), 32)]
+] + [((1, 12, 12), (8, 16), (3, 3), 32)] + [
+    # a flat shift of the whole plane wraps into the next row or image at an
+    # edge: kernels larger than the image, one-pixel rows or columns, even kernels
+    (input_shape, convs, kernel, batch)
+    for input_shape, convs, kernel in (
+        ((2, 2, 3), (4, 6), (5, 5)),
+        ((2, 1, 1), (4,), (3, 3)),
+        ((2, 1, 7), (4, 6), (3, 3)),
+        ((2, 6, 1), (4, 6), (3, 3)),
+        ((3, 5, 6), (4, 6), (4, 2)),
+    )
+    for batch in (1, 32)
+]
 
 
 def reference_case(input_shape, convs, kernel, batch, seed=0):
@@ -348,3 +360,29 @@ class TestMatchesReference:
             _, cache = model.forward(net, batch)
             orders |= {s["cols"].flags.c_contiguous for s in cache["steps"] if "cols" in s}
         assert orders == {True, False}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_patch_kernels_match_reference_bitwise(seed):
+    """_im2col and _col2im on (c, b, h, w) give the bits, signed zeros included,
+    of the reference's padded NCHW kernels on the same shapes."""
+    rng = np.random.default_rng(seed)
+    shapes = [tuple(int(v) for v in rng.integers(1, [4, 4, 8, 8, 7, 7])) for _ in range(50)]
+    if seed == 0:  # a patch matrix large enough to be zero-filled
+        shapes.append((8, 64, 12, 12, 3, 3))
+        assert 8 * 9 * 64 * 144 >= model._ZERO_FILL_MIN
+    for c, b, h, w, kh, kw in shapes:
+        x, d = (
+            rng.normal(size=shape) * rng.choice([-0.0, 0.0, 1.0], size=shape, p=[0.2, 0.2, 0.6])
+            for shape in ((b, c, h, w), (b * h * w, c * kh * kw))
+        )
+        expected = ref._im2col(x, kh, kw).T, ref._col2im(d, (b, c, h, w), kh, kw)
+        assert same_bits(model._im2col(x.swapaxes(0, 1), kh, kw), expected[0]), (c, b, h, w, kh, kw)
+        d_before = d.copy()
+        dx = model._col2im(d, (c, b, h, w), kh, kw)
+        assert same_bits(dx.swapaxes(0, 1), expected[1]), (c, b, h, w, kh, kw)
+        assert same_bits(d, d_before)  # the patch gradient is read, not zeroed in place

@@ -199,6 +199,24 @@ class TestSelectionMatchesFullSort:
                 got = sp.global_density_split(layers, budget / total, masks=m)
                 assert got == ref.global_density_split(layers, budget / total, masks=m)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("zero_share", [0.9, 0.99])
+    def test_global_density_split_mostly_zero(self, seed, zero_share):
+        # effective weights at high sparsity: zero at every masked position,
+        # and some active weights exactly zero as well
+        rng = np.random.default_rng(300 + seed)
+        masks = [(rng.random(int(rng.integers(500, 2001))) >= zero_share).astype(float) for _ in range(3)]
+        total = sum(m.size for m in masks)
+        # masks that disagree with the weights make the tiebreak matter among nonzeros
+        unrelated = [(rng.random(m.size) < 0.5).astype(float) for m in masks]
+        for nan in (False, True):
+            layers = [tie_heavy(rng, m.size, 0.2, nan) * m for m in masks]
+            live = sum(int(np.count_nonzero(np.abs(l) > 0)) for l in layers)
+            for budget in sorted({1, 2, live // 2, live - 1, live, live + 1, total // 2, total} - {0}):
+                for m in (None, masks, unrelated):
+                    got = sp.global_density_split(layers, budget / total, masks=m)
+                    assert got == ref.global_density_split(layers, budget / total, masks=m)
+
     @pytest.mark.parametrize("seed,zero_share", TIE_CASES)
     def test_prune_layer(self, seed, zero_share):
         rng = np.random.default_rng(100 + seed)
