@@ -65,7 +65,6 @@ def _final_summary(cfg: ExperimentConfig, result: trainer.TrainResult) -> dict:
 
 
 def _run_single(cfg: ExperimentConfig, out_dir: Path, stop_after=None, resume=None) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     data = _build_dataset(cfg)
     net = _build_network(cfg)
     opt = trainer.OptimizerState.zeros_like(net)
@@ -77,6 +76,10 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path, stop_after=None, resume=No
             raise state.error("checkpoint config digest does not match this config")
         ckpt.restore_into(state, net, opt)
         start_step = state.step
+        last = min(stop_after or cfg.train.schedule.total_steps, cfg.train.schedule.total_steps)
+        if start_step >= last:
+            raise state.error(f"checkpoint is at step {start_step} and this run stops at step {last}: no step to run")
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = trainer.train(net, data, cfg.train, start_step=start_step, optimizer=opt,
                            stop_after=stop_after, delta=cfg.report.delta)
     _write_metrics(out_dir / "metrics.csv", result.metrics)
@@ -287,15 +290,20 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of --delta: a float > 0, so a bad value fails before any training."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
+def _positive(kind):
+    """argparse type of a number > 0 (--delta, --stop-after), so a bad value
+    fails before anything is trained or written."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -309,8 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--seed", type=int, help="override [train] seed")
     p_train.add_argument("--out", help="override [report] out_dir")
-    p_train.add_argument("--delta", type=_positive_float, help="override [report] delta")
-    p_train.add_argument("--stop-after", type=int, dest="stop_after", help="halt after N steps (checkpoint written)")
+    p_train.add_argument("--delta", type=_positive(float), help="override [report] delta")
+    p_train.add_argument("--stop-after", type=_positive(int), dest="stop_after", help="halt after step N >= 1 (checkpoint written)")
     p_train.add_argument("--resume", help="resume from a checkpoint file")
     p_train.set_defaults(func=cmd_train)
 
@@ -319,12 +327,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lambdas", required=True, help="comma-separated values, e.g. 0,0.01,0.1,1")
     p_sweep.add_argument("--seed", type=int, help="override [train] seed")
     p_sweep.add_argument("--out", help="override [report] out_dir")
-    p_sweep.add_argument("--delta", type=_positive_float, help="override [report] delta")
+    p_sweep.add_argument("--delta", type=_positive(float), help="override [report] delta")
     p_sweep.set_defaults(func=cmd_sweep_lambda)
 
     p_an = sub.add_parser("analyze", help="per-layer rank/sparsity report from checkpoints")
-    p_an.add_argument("checkpoints", nargs="+", help="one or two checkpoint files")
-    p_an.add_argument("--delta", type=_positive_float, default=rank.DEFAULT_DELTA, help="rank tolerance (default %(default)s)")
+    p_an.add_argument("checkpoints", nargs="+", help="one or more checkpoint files")
+    p_an.add_argument("--delta", type=_positive(float), default=rank.DEFAULT_DELTA, help="rank tolerance (default %(default)s)")
     p_an.set_defaults(func=cmd_analyze)
 
     p_plot = sub.add_parser("plot", help="emit SVG charts from metrics/sweep CSVs")

@@ -181,13 +181,6 @@ def build_network(input_shape, layer_specs, num_classes: int, seed: int) -> Netw
 # the patch matrix is stored one row per pixel, as in the reference.
 _BLOCKED_GEMM_MIN = 10**6
 
-# _im2col leaves a patch matrix unfilled, since its strips cover every entry
-# its copies skip, unless it has at least this many entries (4 MiB): left
-# unfilled, the 9.9 MB matrix of conv-s90's 120-image eval batch raised that
-# run's peak RSS by about 0.8 MB in every benchmark run measured; zero-filled,
-# it did not.
-_ZERO_FILL_MIN = 2**19
-
 
 def _shifts(b: int, h: int, w: int, kh: int, kw: int):
     """Yield (k, out, src, rows, cols) for each kernel offset (di, dj), in
@@ -216,8 +209,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """
     c, b, h, w = x.shape
     x = x.reshape(c, -1)
-    fill = np.zeros if x.size * kh * kw >= _ZERO_FILL_MIN else np.empty
-    patches = fill((c, kh * kw, b * h * w))
+    patches = np.empty((c, kh * kw, b * h * w))  # the strips cover every entry the copies skip
     planes = patches.reshape(c, kh * kw, b, h, w)
     for k, out, src, rows, cols in _shifts(b, h, w, kh, kw):
         patches[:, k, out] = x[:, src]

@@ -220,11 +220,23 @@ def _check_weight_norms(net: Network, step: int) -> None:
             raise DivergenceError(f"step {step}: the weight norm of layer {layer.name} is {norm}")
 
 
-def _evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray) -> float:
+def _evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray, batch_size: int) -> float:
+    """Accuracy on the eval set, NaN if it is empty.
+
+    The set runs in slices of batch_size rows, so no eval forward is wider than
+    a training one: a conv layer's patch matrix and the cached activations grow
+    with the rows, and a whole-set forward would set the run's peak memory.
+    The hits are counted over the slices and divided once, the same double as
+    the mean over all rows.
+    """
     if len(labels) == 0:
         return float("nan")
-    logits, _ = forward(net, Batch(inputs, labels))
-    return accuracy(logits, labels)
+    hits = 0
+    for lo in range(0, len(labels), batch_size):
+        rows = slice(lo, lo + batch_size)
+        logits = forward(net, Batch(inputs[rows], labels[rows]))[0]  # the cache goes before the next slice
+        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == labels[rows]))
+    return hits / len(labels)
 
 
 def train(
@@ -282,7 +294,7 @@ def train(
         if update_step or step == sched.total_steps:
             _check_weight_norms(net, step)
             rank_loss, avg_rank = _rank_metrics(net, cfg.rank_cfg, delta)
-            eval_acc = _evaluate(net, dataset.eval_x, dataset.eval_y)
+            eval_acc = _evaluate(net, dataset.eval_x, dataset.eval_y, cfg.batch_size)
         metrics.append(
             MetricsRecord(
                 step=step,

@@ -276,6 +276,35 @@ class TestCmdTrain:
         assert code == 1
         assert "digest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stop", ["0", "-3"])
+    def test_nonpositive_stop_after_rejected_before_writing(self, tmp_path, capsys, stop):
+        cfg_path, out = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(cfg_path), "--stop-after", stop])
+        assert exc.value.code == 2
+        assert "argument --stop-after: must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first_stop, resume_stop, at, stops", [
+        ("70", ["--stop-after", "50"], 70, 50),
+        ("70", ["--stop-after", "70"], 70, 70),
+        (None, [], 150, 150),
+        (None, ["--stop-after", "200"], 150, 150),
+    ])
+    def test_resume_with_no_step_to_run_rejected(self, tmp_path, capsys, first_stop, resume_stop, at, stops):
+        # the resumed run writes to the checkpoint's own directory, which keeps its bytes
+        cfg_path, out = write_config(tmp_path)
+        first = ["--stop-after", first_stop] if first_stop else []
+        assert main(["train", "--config", str(cfg_path)] + first) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        resume = out / "checkpoint.bin"
+        assert main(["train", "--config", str(cfg_path), "--resume", str(resume)] + resume_stop) == 1
+        assert capsys.readouterr().err == (
+            f"error: {resume}: checkpoint is at step {at} and this run stops at step {stops}: no step to run\n"
+        )
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
 
 class TestCmdSweep:
     def test_single_lambda_equals_baseline(self, tmp_path):

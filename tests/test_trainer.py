@@ -1,6 +1,8 @@
 """Combined objective, SGD, and the two-stage training loop."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +200,78 @@ class TestAverageDeltaRank:
             [rank.delta_rank(model.reshape_to_matrix(l), 0.2) for l in net.layers]
         )
         assert trainer.average_delta_rank(net, 0.2) == pytest.approx(expected)
+
+
+def eval_net(kind):
+    """(net, input shape) of a dense or a conv net on 3 classes."""
+    if kind == "dense":
+        return model.build_network(12, [("dense", 16)], 3, seed=1), (12,)
+    return model.build_network((1, 6, 6), [("conv2d", 4, 3, 3), ("dense", 8)], 3, seed=1), (1, 6, 6)
+
+
+def traced_peak(run) -> int:
+    """Peak bytes tracemalloc sees allocated during run(), numpy buffers included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestEvaluate:
+    def test_empty_eval_set_is_nan(self):
+        net, _ = eval_net("dense")
+        assert math.isnan(trainer._evaluate(net, np.zeros((0, 12)), np.zeros(0, dtype=np.int64), 8))
+
+    @pytest.mark.parametrize("n", [5, 8, 24, 29])  # below, at, a multiple of and off the batch size
+    @pytest.mark.parametrize("kind", ["dense", "conv"])
+    def test_slices_give_the_whole_set_accuracy(self, kind, n):
+        net, shape = eval_net(kind)
+        rng = np.random.default_rng(n)
+        x, y = rng.normal(size=(n,) + shape), rng.integers(0, 3, n)
+        logits, _ = model.forward(net, Batch(x, y))
+        assert trainer._evaluate(net, x, y, 8) == model.accuracy(logits, y)
+
+    def test_no_forward_is_wider_than_the_batch(self, monkeypatch):
+        d = datasets.make_blobs(datasets.SyntheticDatasetSpec(4, 12, samples_per_class=60, cluster_spread=0.8))
+        d.train_x = d.train_x.reshape(-1, 1, 3, 4)
+        d.eval_x = d.eval_x.reshape(-1, 1, 3, 4)[:37]
+        d.eval_y = d.eval_y[:37]
+        rows, eval_rows = [], []
+
+        def spy(net, batch):
+            (eval_rows if np.shares_memory(batch.inputs, d.eval_x) else rows).append(len(batch.inputs))
+            return model.forward(net, batch)
+
+        monkeypatch.setattr(trainer, "forward", spy)
+        net = model.build_network((1, 3, 4), [("conv2d", 4, 3, 3), ("dense", 8)], 4, seed=1)
+        res = trainer.train(net, d, small_config(prune=100, interval=25, total=120, batch_size=16))
+        records = sum(m.eval_acc is not None for m in res.metrics)
+        assert records == 5
+        assert set(rows) == {16}
+        assert eval_rows == [16, 16, 5] * records  # ceil(37 / 16) slices per record step
+
+    def test_eval_peak_memory_within_a_training_step(self):
+        # the conv-s90 benchmark's shape: a whole-set eval forward of its 120
+        # images peaks near twice one training step
+        rng = np.random.default_rng(0)
+        net = model.build_network((1, 12, 12), [("conv2d", 8, 3, 3), ("conv2d", 16, 3, 3)], 10, seed=0)
+        x, y = rng.normal(size=(120, 1, 12, 12)), rng.integers(0, 10, 120)
+        batch = Batch(x[:32], y[:32])
+        model.forward(net, batch)  # a first forward's one-time allocations fall outside the traces
+
+        def step():
+            logits, cache = model.forward(net, batch)
+            _, dout = model.loss_and_dout(logits, batch.labels)
+            model.backward(net, cache, batch.labels, dout)
+
+        eval_peak = traced_peak(lambda: trainer._evaluate(net, x, y, 32))
+        assert eval_peak <= traced_peak(step)
+        # one slice's forward at a time: a slice's cache kept alive through the
+        # next forward would nearly double the peak
+        assert eval_peak < 1.5 * traced_peak(lambda: model.forward(net, batch))
 
 
 class TestTrain:
