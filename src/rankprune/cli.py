@@ -24,7 +24,8 @@ from .trainer import MetricsRecord
 
 __all__ = ["main"]
 
-CsvError = ValueError
+# the header of lambda_sweep.csv, which sweep-lambda writes and plot reads
+SWEEP_HEADER = "lambda,avg_delta_rank,eval_accuracy"
 
 
 def _build_dataset(cfg: ExperimentConfig) -> datasets.Dataset:
@@ -94,19 +95,15 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path, stop_after=None, resume=No
     return summary
 
 
+# (run flag, config section, field) of each flag that overrides a config key
+_OVERRIDES = (("seed", "train", "seed"), ("delta", "report", "delta"), ("out", "report", "out_dir"))
+
+
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, train=dataclasses.replace(cfg.train, seed=args.seed)
-        )
-    if getattr(args, "delta", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, report=dataclasses.replace(cfg.report, delta=args.delta)
-        )
-    if getattr(args, "out", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, report=dataclasses.replace(cfg.report, out_dir=args.out)
-        )
+    for flag, section, name in _OVERRIDES:
+        value = getattr(args, flag)
+        if value is not None:
+            cfg = dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section), **{name: value})})
     return cfg
 
 
@@ -133,29 +130,24 @@ def cmd_sweep_lambda(args) -> int:
     try:
         lambdas = [float(s) for s in texts]
     except ValueError:
-        print(f"error: bad lambda list {args.lambdas!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"bad lambda list {args.lambdas!r}") from None
     if not lambdas:
-        print("error: need at least one lambda value", file=sys.stderr)
-        return 1
+        raise ValueError("need at least one lambda value")
     bad = [t for t, lam in zip(texts, lambdas) if not (np.isfinite(lam) and lam >= 0.0)]
     if bad:
-        print(f"error: --lambdas: lambda must be finite and >= 0, got {', '.join(bad)}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--lambdas: lambda must be finite and >= 0, got {', '.join(bad)}")
     # each run writes lambda_{lam:g}, so two values may not print the same there
     dirs = [f"lambda_{lam:g}" for lam in lambdas]
     shared = [f"{t} -> {d}" for t, d in zip(texts, dirs) if dirs.count(d) > 1]
     if shared:
-        print(f"error: --lambdas: values share an output directory: {', '.join(shared)}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--lambdas: values share an output directory: {', '.join(shared)}")
     threads = os.environ.get("RANKPRUNE_THREADS", "1")
     try:
         workers = int(threads)
     except ValueError:
         workers = 0
     if workers < 1:
-        print(f"error: RANKPRUNE_THREADS must be an integer >= 1, got {threads!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"RANKPRUNE_THREADS must be an integer >= 1, got {threads!r}")
     out_dir = Path(cfg.report.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, lam, out_dir / d) for lam, d in zip(lambdas, dirs)]
@@ -166,7 +158,7 @@ def cmd_sweep_lambda(args) -> int:
             results = pool.map(_sweep_one, jobs)
     else:
         results = [_sweep_one(job) for job in jobs]
-    lines = ["lambda,avg_delta_rank,eval_accuracy"]
+    lines = [SWEEP_HEADER]
     for lam, summary in results:
         lines.append(f"{lam!r},{summary['avg_delta_rank']!r},{summary['eval_accuracy']!r}")
     (out_dir / "lambda_sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -204,10 +196,10 @@ def cmd_analyze(args) -> int:
 
 
 def _read_csv(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    """(header, data rows as (line number, cells)) of a CSV file."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
-        raise CsvError(f"{path}:1: empty file")
+        raise ValueError(f"{path}:1: empty file")
     header = lines[0].split(",")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -215,78 +207,60 @@ def _read_csv(path: str):
             continue
         cells = line.split(",")
         if len(cells) != len(header):
-            raise CsvError(
-                f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}"
-            )
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
         rows.append((lineno, cells))
     if not rows:
-        raise CsvError(f"{path}:1: no data rows")
+        raise ValueError(f"{path}:1: no data rows")
     return header, rows
 
 
-def _float_cell(path, lineno, name, value) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise CsvError(f"{path}:{lineno}: column {name!r}: bad number {value!r}") from None
+def _float_columns(path: str, header, rows, names) -> list[list[float]]:
+    """The named columns of rows as floats, one list per name; a bad cell names its line."""
+    columns = [[] for _ in names]
+    for lineno, cells in rows:
+        for column, name in zip(columns, names):
+            cell = cells[header.index(name)]
+            try:
+                column.append(float(cell))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: column {name!r}: bad number {cell!r}") from None
+    return columns
 
 
 def cmd_plot(args) -> int:
+    """Chart every metrics file as one series and at most one sweep file, each
+    recognized by its exact header; nothing is written if any file is bad."""
     out_dir = Path(args.out if args.out else ".")
-    metrics_series = []
-    sweep_data = None
-    metrics_cols = MetricsRecord.CSV_HEADER.split(",")
+    series, sweeps = [], []
     for path in args.csvs:
         header, rows = _read_csv(path)
-        if header == metrics_cols:
-            xs, ys = [], []
-            for lineno, cells in rows:
-                named = dict(zip(header, cells))
-                if named["avg_delta_rank"] == "":
-                    continue
-                xs.append(_float_cell(path, lineno, "sparsity", named["sparsity"]))
-                ys.append(_float_cell(path, lineno, "avg_delta_rank", named["avg_delta_rank"]))
-            if not xs:
-                raise CsvError(f"{path}:1: no rows with avg_delta_rank values")
-            metrics_series.append((Path(path).stem, xs, ys))
-        elif header[0] == "lambda":
-            lams, ranks, accs = [], [], []
-            for lineno, cells in rows:
-                named = dict(zip(header, cells))
-                lams.append(named["lambda"])
-                ranks.append(_float_cell(path, lineno, "avg_delta_rank", named["avg_delta_rank"]))
-                accs.append(_float_cell(path, lineno, "eval_accuracy", named["eval_accuracy"]))
-            sweep_data = (lams, ranks, accs)
+        if ",".join(header) == MetricsRecord.CSV_HEADER:
+            rank = header.index("avg_delta_rank")
+            rows = [(lineno, cells) for lineno, cells in rows if cells[rank] != ""]
+            if not rows:
+                raise ValueError(f"{path}:1: no rows with avg_delta_rank values")
+            series.append((Path(path).stem, *_float_columns(path, header, rows, ("sparsity", "avg_delta_rank"))))
+        elif ",".join(header) == SWEEP_HEADER:
+            lams = [cells[0] for _, cells in rows]
+            sweeps.append((path, lams, *_float_columns(path, header, rows, ("avg_delta_rank", "eval_accuracy"))))
         else:
-            raise CsvError(f"{path}:1: unrecognized header {header!r}")
-    written = []
+            raise ValueError(f"{path}:1: unrecognized header {header!r}")
+    if len(sweeps) > 1:
+        raise ValueError(f"{', '.join(path for path, *_ in sweeps)}: plot takes at most one sweep file")
+    charts = []
+    if series:
+        svg = svgplot.line_chart(series, title="Average delta-rank vs sparsity",
+                                 xlabel="sparsity", ylabel="average delta-rank")
+        charts.append(("rank_vs_sparsity.svg", svg))
+    for _, lams, ranks, accs in sweeps:
+        svg = svgplot.dual_axis_chart(lams, "average delta-rank", ranks, "eval accuracy", accs,
+                                      title="Rank and accuracy vs rank-loss weight", xlabel="lambda")
+        charts.append(("rank_vs_lambda.svg", svg))
     out_dir.mkdir(parents=True, exist_ok=True)
-    if metrics_series:
-        svg = svgplot.line_chart(
-            metrics_series,
-            title="Average delta-rank vs sparsity",
-            xlabel="sparsity",
-            ylabel="average delta-rank",
-        )
-        target = out_dir / "rank_vs_sparsity.svg"
-        target.write_text(svg, encoding="utf-8")
-        written.append(str(target))
-    if sweep_data is not None:
-        lams, ranks, accs = sweep_data
-        svg = svgplot.dual_axis_chart(
-            lams,
-            "average delta-rank",
-            ranks,
-            "eval accuracy",
-            accs,
-            title="Rank and accuracy vs rank-loss weight",
-            xlabel="lambda",
-        )
-        target = out_dir / "rank_vs_lambda.svg"
-        target.write_text(svg, encoding="utf-8")
-        written.append(str(target))
-    for path in written:
-        print(path)
+    for name, svg in charts:
+        (out_dir / name).write_text(svg, encoding="utf-8")
+    for name, _ in charts:
+        print(out_dir / name)
     return 0
 
 
@@ -313,21 +287,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="run one training per the config file")
-    p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=int, help="override [train] seed")
-    p_train.add_argument("--out", help="override [report] out_dir")
-    p_train.add_argument("--delta", type=_positive(float), help="override [report] delta")
+    # the flags of a training run, shared by train and sweep-lambda
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", required=True)
+    run.add_argument("--seed", type=int, help="override [train] seed")
+    run.add_argument("--out", help="override [report] out_dir")
+    run.add_argument("--delta", type=_positive(float), help="override [report] delta")
+
+    p_train = sub.add_parser("train", parents=[run], help="run one training per the config file")
     p_train.add_argument("--stop-after", type=_positive(int), dest="stop_after", help="halt after step N >= 1 (checkpoint written)")
     p_train.add_argument("--resume", help="resume from a checkpoint file")
     p_train.set_defaults(func=cmd_train)
 
-    p_sweep = sub.add_parser("sweep-lambda", help="train once per lambda, shared seed")
-    p_sweep.add_argument("--config", required=True)
+    p_sweep = sub.add_parser("sweep-lambda", parents=[run], help="train once per lambda, shared seed")
     p_sweep.add_argument("--lambdas", required=True, help="comma-separated values, e.g. 0,0.01,0.1,1")
-    p_sweep.add_argument("--seed", type=int, help="override [train] seed")
-    p_sweep.add_argument("--out", help="override [report] out_dir")
-    p_sweep.add_argument("--delta", type=_positive(float), help="override [report] delta")
     p_sweep.set_defaults(func=cmd_sweep_lambda)
 
     p_an = sub.add_parser("analyze", help="per-layer rank/sparsity report from checkpoints")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
@@ -96,12 +97,14 @@ _TRAIN_KEYS = (
     ("cosine_lr", "cosine_lr"),
 )
 _REPORT_KEYS = (("out_dir", "out_dir"), ("delta", "delta"))
+_SECTIONS = ("model", "dataset", "train", "report")
 
 
 def _parse_lines(text: str, path: str):
-    """-> dict[section][key] = (value, line_no); duplicate keys rejected."""
+    """-> dict[section][key] = (value, line_no); duplicate keys, missing
+    [model], [dataset] or [train] and then unknown sections rejected."""
     sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current = None
+    current = unknown = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(("#", ";")):
@@ -110,6 +113,8 @@ def _parse_lines(text: str, path: str):
             current = line[1:-1].strip()
             if not current:
                 raise ConfigError(f"{path}:{lineno}: empty section name")
+            if current not in _SECTIONS and unknown is None:
+                unknown = f"{path}:{lineno}: unknown section [{current}]"
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -121,14 +126,28 @@ def _parse_lines(text: str, path: str):
         if key in sections[current]:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} in [{current}]")
         sections[current][key] = (value.strip(), lineno)
+    for name in ("model", "dataset", "train"):
+        if name not in sections:
+            raise ConfigError(f"{path}: missing [{name}] section")
+    if unknown:
+        raise ConfigError(unknown)
     return sections
 
 
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 # Field type name -> (parser, what an error says was expected)
 _TYPES = {
     "int": (int, "an integer"),
-    "float": (float, "a number"),
+    "float": (_finite, "a finite number"),
     "bool": (lambda text: _BOOLS[text.lower()], "true/false"),
     "str": (str, "text"),
 }
@@ -235,10 +254,6 @@ def _parse_layers(sec: _Section) -> tuple:
 
 def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
     sections = _parse_lines(text, path)
-    for name in ("model", "dataset", "train"):
-        if name not in sections:
-            raise ConfigError(f"{path}: missing [{name}] section")
-
     msec = _Section(path, "model", sections["model"])
     input_shape = _parse_input_shape(msec)
     layers = _parse_layers(msec)

@@ -7,6 +7,8 @@ identical specs always produce identical bytes.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -50,6 +52,8 @@ class SyntheticDatasetSpec:
             raise ValueError("features and samples_per_class must be positive")
         if not self.cluster_spread > 0.0:
             raise ValueError(f"cluster_spread must be positive, got {self.cluster_spread}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -99,11 +103,24 @@ class IdxCountMismatchError(IdxError):
     pass
 
 
-def _read_exact(f, n: int, path: str, what: str) -> bytes:
-    data = f.read(n)
+def _read_exact(f, n: int, path, what: str) -> bytes:
+    # n may come from the file's own header: check it against the bytes left
+    # before f.read is asked for it
+    data = f.read(n) if n <= os.fstat(f.fileno()).st_size - f.tell() else b""
     if len(data) != n:
         raise IdxTruncatedError(f"{path}: truncated while reading {what}")
     return data
+
+
+def _read_idx(path, magic: int, what: str, ndim: int, payload: str):
+    """(counts, payload bytes) of an IDX file: a magic number, ndim big-endian
+    counts, then one byte per item; what and payload name the parts in errors."""
+    with open(path, "rb") as f:
+        (found,) = struct.unpack(">I", _read_exact(f, 4, path, f"{what} magic"))
+        if found != magic:
+            raise IdxMagicError(f"{path}: {what} magic 0x{found:08x} != 0x{magic:08x}")
+        counts = struct.unpack(f">{ndim}I", _read_exact(f, 4 * ndim, path, f"{what} header"))
+        return counts, _read_exact(f, math.prod(counts), path, payload)
 
 
 def load_idx_images(images_path, labels_path) -> Batch:
@@ -114,37 +131,15 @@ def load_idx_images(images_path, labels_path) -> Batch:
     checked, each failure with its own error type; an images file with no
     images raises IdxError.
     """
-    with open(images_path, "rb") as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, str(images_path), "image magic"))
-        if magic != IMAGES_MAGIC:
-            raise IdxMagicError(
-                f"{images_path}: image magic 0x{magic:08x} != 0x{IMAGES_MAGIC:08x}"
-            )
-        count, rows, cols = struct.unpack(
-            ">III", _read_exact(f, 12, str(images_path), "image header")
-        )
-        if count == 0:
-            raise IdxError(f"{images_path}: holds no images")
-        raw = _read_exact(f, count * rows * cols, str(images_path), "pixel data")
+    (count, rows, cols), raw = _read_idx(images_path, IMAGES_MAGIC, "image", 3, "pixel data")
+    if count == 0:
+        raise IdxError(f"{images_path}: holds no images")
     pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
     images = pixels.reshape(count, 1, rows, cols)
-
-    with open(labels_path, "rb") as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, str(labels_path), "label magic"))
-        if magic != LABELS_MAGIC:
-            raise IdxMagicError(
-                f"{labels_path}: label magic 0x{magic:08x} != 0x{LABELS_MAGIC:08x}"
-            )
-        (label_count,) = struct.unpack(
-            ">I", _read_exact(f, 4, str(labels_path), "label header")
-        )
-        raw_labels = _read_exact(f, label_count, str(labels_path), "label data")
+    (label_count,), raw_labels = _read_idx(labels_path, LABELS_MAGIC, "label", 1, "label data")
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
-
     if label_count != count:
-        raise IdxCountMismatchError(
-            f"{images_path}: {count} images but {label_count} labels"
-        )
+        raise IdxCountMismatchError(f"{images_path}: {count} images but {label_count} labels")
     return Batch(inputs=images, labels=labels)
 
 

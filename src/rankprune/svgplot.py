@@ -12,6 +12,8 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 70, 70, 50, 60
+# the plot box: x runs from _X0 to _X1, y from _Y0 (bottom) up to _Y1
+_X0, _X1, _Y0, _Y1 = _ML, _W - _MR, _H - _MB, _MT
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
@@ -30,38 +32,36 @@ def _scale(lo: float, hi: float, a: float, b: float):
     return f
 
 
+def _yscale(ys):
+    """(ticks, scale) of a y axis spanning ys."""
+    yt = _ticks(min(ys), max(ys))
+    return yt, _scale(yt[0], yt[-1], _Y0, _Y1)
+
+
 def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _axes(parts, sx, sy, xticks, yticks, xlabel, ylabel, title):
-    x0, x1 = _ML, _W - _MR
-    y0, y1 = _H - _MB, _MT
-    parts.append(f'<rect width="{_W}" height="{_H}" fill="white"/>')
-    parts.append(
-        f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="15" font-weight="600">{title}</text>'
-    )
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="#333"/>')
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="#333"/>')
-    for t in xticks:
-        px = sx(t)
-        parts.append(f'<line x1="{px}" y1="{y0}" x2="{px}" y2="{y0 + 5}" stroke="#333"/>')
-        parts.append(
-            f'<text x="{px}" y="{y0 + 20}" text-anchor="middle" font-size="11">{_fmt(t)}</text>'
-        )
-    for t in yticks:
-        py = sy(t)
-        parts.append(f'<line x1="{x0 - 5}" y1="{py}" x2="{x0}" y2="{py}" stroke="#333"/>')
-        parts.append(
-            f'<text x="{x0 - 8}" y="{py + 4}" text-anchor="end" font-size="11">{_fmt(t)}</text>'
-        )
-    parts.append(
-        f'<text x="{(x0 + x1) / 2}" y="{_H - 15}" text-anchor="middle" font-size="12">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{(y0 + y1) / 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 18 {(y0 + y1) / 2})">{ylabel}</text>'
-    )
+def _frame(title: str, xticks, right_axis: bool) -> list[str]:
+    """Opening parts of a chart: background, title, axes and the x ticks,
+    given as (px, label) pairs; right_axis adds a y axis line on the right."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}" font-family="sans-serif">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="15" font-weight="600">{title}</text>',
+        f'<line x1="{_X0}" y1="{_Y0}" x2="{_X1}" y2="{_Y0}" stroke="#333"/>',
+        f'<line x1="{_X0}" y1="{_Y0}" x2="{_X0}" y2="{_Y1}" stroke="#333"/>',
+    ]
+    if right_axis:
+        parts.append(f'<line x1="{_X1}" y1="{_Y0}" x2="{_X1}" y2="{_Y1}" stroke="#333"/>')
+    for px, label in xticks:
+        parts.append(f'<line x1="{px}" y1="{_Y0}" x2="{px}" y2="{_Y0 + 5}" stroke="#333"/>')
+        parts.append(f'<text x="{px}" y="{_Y0 + 20}" text-anchor="middle" font-size="11">{label}</text>')
+    return parts
+
+
+def _xlabel(xlabel: str) -> str:
+    return f'<text x="{(_X0 + _X1) / 2}" y="{_H - 15}" text-anchor="middle" font-size="12">{xlabel}</text>'
 
 
 def _polyline(sx, sy, xs, ys, color):
@@ -74,11 +74,15 @@ def _polyline(sx, sy, xs, ys, color):
     return line + dots
 
 
-def _legend(parts, labels_colors, x, y):
+def _close(parts: list[str], labels_colors) -> str:
+    """The chart's SVG text: parts, then a legend entry per (label, color)."""
+    x, y = _X0 + 12, _Y1 + 16
     for i, (label, color) in enumerate(labels_colors):
         ly = y + 18 * i
         parts.append(f'<rect x="{x}" y="{ly - 9}" width="14" height="4" fill="{color}"/>')
         parts.append(f'<text x="{x + 20}" y="{ly - 4}" font-size="11">{label}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts)
 
 
 def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
@@ -86,20 +90,21 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     if not series or any(len(xs) == 0 for _, xs, _ in series):
         raise ValueError("nothing to plot")
     all_x = [x for _, xs, _ in series for x in xs]
-    all_y = [y for _, _, ys in series for y in ys]
-    xt, yt = _ticks(min(all_x), max(all_x)), _ticks(min(all_y), max(all_y))
-    sx = _scale(xt[0], xt[-1], _ML, _W - _MR)
-    sy = _scale(yt[0], yt[-1], _H - _MB, _MT)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}" font-family="sans-serif">']
-    _axes(parts, sx, sy, xt, yt, xlabel, ylabel, title)
-    colors = []
-    for i, (label, xs, ys) in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
+    xt = _ticks(min(all_x), max(all_x))
+    yt, sy = _yscale([y for _, _, ys in series for y in ys])
+    sx = _scale(xt[0], xt[-1], _X0, _X1)
+    parts = _frame(title, [(sx(t), _fmt(t)) for t in xt], right_axis=False)
+    for t in yt:
+        py = sy(t)
+        parts.append(f'<line x1="{_X0 - 5}" y1="{py}" x2="{_X0}" y2="{py}" stroke="#333"/>')
+        parts.append(f'<text x="{_X0 - 8}" y="{py + 4}" text-anchor="end" font-size="11">{_fmt(t)}</text>')
+    mid = (_Y0 + _Y1) / 2
+    parts.append(_xlabel(xlabel))
+    parts.append(f'<text x="18" y="{mid}" text-anchor="middle" font-size="12" transform="rotate(-90 18 {mid})">{ylabel}</text>')
+    colors = [(label, PALETTE[i % len(PALETTE)]) for i, (label, _, _) in enumerate(series)]
+    for (_, xs, ys), (_, color) in zip(series, colors):
         parts.append(_polyline(sx, sy, xs, ys, color))
-        colors.append((label, color))
-    _legend(parts, colors, _ML + 12, _MT + 16)
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return _close(parts, colors)
 
 
 def dual_axis_chart(xs, left_label, left_ys, right_label, right_ys, title, xlabel) -> str:
@@ -107,43 +112,14 @@ def dual_axis_chart(xs, left_label, left_ys, right_label, right_ys, title, xlabe
     if len(xs) == 0:
         raise ValueError("nothing to plot")
     positions = list(range(len(xs)))  # categorical x, even spacing
-    xt = positions
-    lt = _ticks(min(left_ys), max(left_ys))
-    rt = _ticks(min(right_ys), max(right_ys))
-    sx = _scale(0, max(len(xs) - 1, 1), _ML, _W - _MR)
-    sl = _scale(lt[0], lt[-1], _H - _MB, _MT)
-    sr = _scale(rt[0], rt[-1], _H - _MB, _MT)
-    x0, x1 = _ML, _W - _MR
-    y0, y1 = _H - _MB, _MT
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}" font-family="sans-serif">']
-    parts.append(f'<rect width="{_W}" height="{_H}" fill="white"/>')
-    parts.append(
-        f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="15" font-weight="600">{title}</text>'
-    )
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="#333"/>')
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="#333"/>')
-    parts.append(f'<line x1="{x1}" y1="{y0}" x2="{x1}" y2="{y1}" stroke="#333"/>')
-    for p, label in zip(positions, xs):
-        px = sx(p)
-        parts.append(f'<line x1="{px}" y1="{y0}" x2="{px}" y2="{y0 + 5}" stroke="#333"/>')
-        parts.append(
-            f'<text x="{px}" y="{y0 + 20}" text-anchor="middle" font-size="11">{label}</text>'
-        )
-    for t in lt:
-        py = sl(t)
-        parts.append(
-            f'<text x="{x0 - 8}" y="{py + 4}" text-anchor="end" font-size="11" fill="{PALETTE[0]}">{_fmt(t)}</text>'
-        )
-    for t in rt:
-        py = sr(t)
-        parts.append(
-            f'<text x="{x1 + 8}" y="{py + 4}" text-anchor="start" font-size="11" fill="{PALETTE[1]}">{_fmt(t)}</text>'
-        )
-    parts.append(
-        f'<text x="{(x0 + x1) / 2}" y="{_H - 15}" text-anchor="middle" font-size="12">{xlabel}</text>'
-    )
-    parts.append(_polyline(sx, sl, positions, left_ys, PALETTE[0]))
-    parts.append(_polyline(sx, sr, positions, right_ys, PALETTE[1]))
-    _legend(parts, [(left_label, PALETTE[0]), (right_label, PALETTE[1])], _ML + 12, _MT + 16)
-    parts.append("</svg>")
-    return "\n".join(parts)
+    sx = _scale(0, max(len(xs) - 1, 1), _X0, _X1)
+    parts = _frame(title, [(sx(p), label) for p, label in zip(positions, xs)], right_axis=True)
+    lines = []
+    for ys, color, x, anchor in ((left_ys, PALETTE[0], _X0 - 8, "end"), (right_ys, PALETTE[1], _X1 + 8, "start")):
+        yt, sy = _yscale(ys)
+        for t in yt:
+            parts.append(f'<text x="{x}" y="{sy(t) + 4}" text-anchor="{anchor}" font-size="11" fill="{color}">{_fmt(t)}</text>')
+        lines.append(_polyline(sx, sy, positions, ys, color))
+    parts.append(_xlabel(xlabel))
+    parts += lines
+    return _close(parts, [(left_label, PALETTE[0]), (right_label, PALETTE[1])])

@@ -66,6 +66,8 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.schedule.prune_steps % self.schedule.update_interval != 0:
             # final sparsity is only reached at an update step; an indivisible
             # pair would silently end the ramp short of the target

@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 from pathlib import Path
 
 import conv_reference
@@ -242,6 +243,42 @@ class TestCmdTrain:
                                               labels=labels, out=tmp_path / "run"))
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert f"error: {images}: holds no images" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("[report]", "[reprot]", ":22: unknown section [reprot]"),
+            ("learning_rate = 0.03", "learning_rate = inf", ":18: [train] learning_rate: expected a finite number, got 'inf'"),
+            ("cluster_spread = 0.8", "cluster_spread = nan", ":10: [dataset] cluster_spread: expected a finite number, got 'nan'"),
+            ("seed = 1\n", "seed = -1\n", ": [train] seed must be >= 0, got -1"),
+            ("seed = 7", "seed = -1", ": [dataset] seed must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_config_rejected_before_writing(self, tmp_path, capsys, monkeypatch, old, new, message):
+        monkeypatch.chdir(tmp_path)  # a misspelled [report] leaves the default out_dir
+        cfg_path, out = write_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text().replace(old, new))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg_path}{message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [cfg_path.name]
+
+    @pytest.mark.parametrize("command", ["train", "sweep-lambda"])
+    def test_negative_seed_flag_rejected_before_writing(self, tmp_path, capsys, command):
+        cfg_path, out = write_config(tmp_path)
+        argv = [command, "--config", str(cfg_path), "--seed", "-2"]
+        assert main(argv + (["--lambdas", "0"] if command == "sweep-lambda" else [])) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -2\n"
+        assert not out.exists()
+
+    def test_overflowing_idx_header_names_file(self, tmp_path, capsys):
+        images, labels = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+        images.write_bytes(struct.pack(">IIII", 0x803, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF) + bytes(4))
+        cfg_path = tmp_path / "idx.cfg"
+        cfg_path.write_text(IDX_CONFIG.format(model="input = 4\nlayers = dense:8", images=images,
+                                              labels=labels, out=tmp_path / "run"))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {images}: truncated while reading pixel data\n"
+        assert not (tmp_path / "run").exists()
 
     def test_diverging_toy_run_names_step_and_layer(self, tmp_path, capsys):
         toy = (Path(__file__).resolve().parent.parent / "configs" / "toy.cfg").read_text(encoding="utf-8")
@@ -494,6 +531,23 @@ class TestCmdPlot:
         out = tmp_path / "charts"
         assert main(["plot", str(path), "--out", str(out)]) == 1
         assert not (out / "rank_vs_sparsity.svg").exists()
+
+    def test_header_must_match_exactly(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_text("lambda,foo\n0.0,10.0\n")
+        out = tmp_path / "charts"
+        assert main(["plot", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:1: unrecognized header ['lambda', 'foo']\n"
+        assert not out.exists()
+
+    def test_two_sweep_files_rejected(self, tmp_path, capsys):
+        paths = [tmp_path / "s1.csv", tmp_path / "s2.csv"]
+        for path in paths:
+            path.write_text("lambda,avg_delta_rank,eval_accuracy\n0.0,10.0,0.9\n0.1,12.0,0.92\n")
+        out = tmp_path / "charts"
+        assert main(["plot", *map(str, paths), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {paths[0]}, {paths[1]}: plot takes at most one sweep file\n"
+        assert not out.exists()
 
     def test_malformed_csv_names_line(self, tmp_path, capsys):
         path = self.metrics_csv(tmp_path)

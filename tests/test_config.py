@@ -120,6 +120,32 @@ def test_missing_section():
     assert "dataset" in str(err.value)
 
 
+def test_unknown_section_names_line():
+    bad = MINIMAL + "\n[reprot]\nout_dir = elsewhere\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(bad, "bad.cfg")
+    assert str(err.value) == "bad.cfg:19: unknown section [reprot]"
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("total_steps = 300\n", "total_steps = 300\nweight_decay = nan\n",
+         "bad.cfg:18: [train] weight_decay: expected a finite number, got 'nan'"),
+        ("total_steps = 300\n", "total_steps = 300\nlearning_rate = inf\n",
+         "bad.cfg:18: [train] learning_rate: expected a finite number, got 'inf'"),
+        ("cluster_spread = 0.8", "cluster_spread = -inf",
+         "bad.cfg:10: [dataset] cluster_spread: expected a finite number, got '-inf'"),
+        ("total_steps = 300\n", "total_steps = 300\nseed = -1\n", "bad.cfg: [train] seed must be >= 0, got -1"),
+        ("seed = 7", "seed = -1", "bad.cfg: [dataset] seed must be >= 0, got -1"),
+    ],
+)
+def test_non_finite_number_and_negative_seed_rejected(old, new, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(MINIMAL.replace(old, new), "bad.cfg")
+    assert str(err.value) == message
+
+
 def test_duplicate_key_rejected():
     bad = MINIMAL + "final_sparsity = 0.5\n"
     with pytest.raises(ConfigError):

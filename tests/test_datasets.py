@@ -96,6 +96,55 @@ class TestIdx:
         with pytest.raises(IdxTruncatedError):
             datasets.load_idx_images(ipath, lpath)
 
+    @pytest.mark.parametrize(
+        "image_counts,label_count,file,part",
+        [
+            ((0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF), 1, "images.idx", "pixel data"),
+            ((1000, 1000, 1000), 1, "images.idx", "pixel data"),
+            ((1, 2, 2), 0xFFFFFFFF, "labels.idx", "label data"),
+        ],
+    )
+    def test_counts_past_end_of_file_rejected(self, tmp_path, image_counts, label_count, file, part):
+        ipath = tmp_path / "images.idx"
+        ipath.write_bytes(struct.pack(">IIII", 0x803, *image_counts) + bytes(4))
+        lpath = tmp_path / "labels.idx"
+        lpath.write_bytes(struct.pack(">II", 0x801, label_count) + bytes(1))
+        with pytest.raises(IdxTruncatedError) as err:
+            datasets.load_idx_images(ipath, lpath)
+        assert str(err.value) == f"{tmp_path / file}: truncated while reading {part}"
+
+    @pytest.mark.parametrize(
+        "file,cut,message",
+        [
+            ("images.idx", 3, "truncated while reading image magic"),
+            ("images.idx", 10, "truncated while reading image header"),
+            ("images.idx", 20, "truncated while reading pixel data"),
+            ("labels.idx", 2, "truncated while reading label magic"),
+            ("labels.idx", 6, "truncated while reading label header"),
+            ("labels.idx", 9, "truncated while reading label data"),
+        ],
+    )
+    def test_truncation_names_file_and_part(self, tmp_path, file, cut, message):
+        paths = write_idx_pair(tmp_path, np.zeros((2, 2, 3), dtype=np.uint8), [0, 1])
+        path = tmp_path / file
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(IdxTruncatedError) as err:
+            datasets.load_idx_images(*paths)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "magics,message",
+        [
+            ((0x802, 0x801), "images.idx: image magic 0x00000802 != 0x00000803"),
+            ((0x803, 0x803), "labels.idx: label magic 0x00000803 != 0x00000801"),
+        ],
+    )
+    def test_wrong_magic_names_file(self, tmp_path, magics, message):
+        paths = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0], *magics)
+        with pytest.raises(IdxMagicError) as err:
+            datasets.load_idx_images(*paths)
+        assert str(err.value) == f"{tmp_path}/{message}"
+
     def test_count_mismatch(self, tmp_path):
         pixels = np.zeros((3, 2, 2), dtype=np.uint8)
         ipath, lpath = write_idx_pair(tmp_path, pixels, [0, 1])
