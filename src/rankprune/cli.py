@@ -154,7 +154,16 @@ def cmd_sweep_lambda(args) -> int:
     if workers > 1 and len(jobs) > 1:
         import multiprocessing as mp
 
-        with mp.Pool(min(workers, len(jobs))) as pool:
+        # a spawned worker loads BLAS afresh and reads its thread count then,
+        # so each gets one thread unless the caller chose otherwise
+        pinned = [v for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS") if v not in os.environ]
+        os.environ.update(dict.fromkeys(pinned, "1"))
+        try:
+            pool = mp.get_context("spawn").Pool(min(workers, len(jobs)))
+        finally:
+            for var in pinned:
+                del os.environ[var]
+        with pool:
             results = pool.map(_sweep_one, jobs)
     else:
         results = [_sweep_one(job) for job in jobs]
@@ -241,8 +250,8 @@ def cmd_plot(args) -> int:
                 raise ValueError(f"{path}:1: no rows with avg_delta_rank values")
             series.append((Path(path).stem, *_float_columns(path, header, rows, ("sparsity", "avg_delta_rank"))))
         elif ",".join(header) == SWEEP_HEADER:
-            lams = [cells[0] for _, cells in rows]
-            sweeps.append((path, lams, *_float_columns(path, header, rows, ("avg_delta_rank", "eval_accuracy"))))
+            _, ranks, accs = _float_columns(path, header, rows, SWEEP_HEADER.split(","))
+            sweeps.append((path, [cells[0] for _, cells in rows], ranks, accs))  # lambda's text is its tick label
         else:
             raise ValueError(f"{path}:1: unrecognized header {header!r}")
     if len(sweeps) > 1:

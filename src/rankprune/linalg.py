@@ -70,7 +70,7 @@ def svd(w, vectors: bool = True) -> SvdFactors:
     if not vectors:
         return SvdFactors(u=None, sigma=np.linalg.svd(w, compute_uv=False), v=None)
     u, s, vt = np.linalg.svd(w, full_matrices=False)
-    v = vt.T.copy()
+    v = vt.T  # a view: the sign flips below write through to vt, which nothing else holds
     cols = np.arange(s.shape[0])
     flip = u[np.argmax(u != 0.0, axis=0), cols] < 0.0
     u[:, flip] = -u[:, flip]

@@ -14,6 +14,12 @@ weight. Inputs are turned from (b, c, h, w) at the first layer, and back at
 the flatten into a dense layer. Channels-last (b, h, w, c) would make the
 gather strided, since each patch row runs over (c, kh, kw).
 
+Each conv GEMM is taken in the orientation its operands already have, so none
+needs a transposing copy: the forward is weight (o, c*kh*kw) @ patches, which
+is the (o, b, h, w) output as it lies; the weight gradient is dout
+(o, b*h*w) @ patches.T; and the patch gradient weight.T @ dout is a fresh
+(c*kh*kw, b*h*w) array that the adjoint scatter then zeroes in place.
+
 On the (c, b*h*w) view of the activations, kernel offset (di, dj) of a
 same-padded conv is a flat shift of the whole plane by s = si*w + sj, with
 (si, sj) = (di - (kh-1)//2, dj - (kw-1)//2). So the gather copies one
@@ -172,16 +178,6 @@ def build_network(input_shape, layer_specs, num_classes: int, seed: int) -> Netw
     return Network(layers)
 
 
-# Both GEMMs on the patch matrix give their result in the orientation of
-# tests/conv_reference.py, which pins their bits: one output row per pixel, and
-# (o, c*kh*kw) for the weight gradient. OpenBLAS's blocked kernel then sums
-# every entry in the same order however the patch matrix is stored. A GEMM of
-# at most this many multiply-adds, or with a dimension of 1, runs in a
-# small-matrix or GEMV kernel whose order depends on that storage too, so there
-# the patch matrix is stored one row per pixel, as in the reference.
-_BLOCKED_GEMM_MIN = 10**6
-
-
 def _shifts(b: int, h: int, w: int, kh: int, kw: int):
     """Yield (k, out, src, rows, cols) for each kernel offset (di, dj), in
     order: its patch row k = di*kw + dj; the flat ranges of output pixels and
@@ -219,16 +215,16 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 
 
 def _col2im(dcols: np.ndarray, x_shape: tuple, kh: int, kw: int) -> np.ndarray:
-    """Adjoint of _im2col: (b*h*w, c*kh*kw) patch gradients to the (c, b, h, w)
-    input gradient, the kernel offsets added in (di, dj) order.
+    """Adjoint of _im2col: C-contiguous (c*kh*kw, b*h*w) patch gradients to the
+    (c, b, h, w) input gradient, the kernel offsets added in (di, dj) order.
 
     Each offset is one add of the shifted (c, b*h*w) plane, its strips zeroed
-    first; the module docstring says why those +0.0 adds change no bit.
+    first, in dcols itself; the module docstring says why those +0.0 adds
+    change no bit.
     """
     c, b, h, w = x_shape
-    patches = dcols.T.copy()  # (c*kh*kw, b*h*w), private: its strips get zeroed
-    planes = patches.reshape(c, kh * kw, b, h, w)
-    patches = patches.reshape(c, kh * kw, -1)
+    planes = dcols.reshape(c, kh * kw, b, h, w)
+    patches = dcols.reshape(c, kh * kw, -1)
     dx = np.zeros((c, b * h * w))
     for k, out, src, rows, cols in _shifts(b, h, w, kh, kw):
         planes[:, k, :, rows] = 0.0
@@ -269,10 +265,8 @@ def forward(net: Network, batch: Batch):
                 )
             _, b, h, w = x.shape
             cols = _im2col(x, kh, kw)
-            if min(o, *cols.shape) == 1 or o * cols.size <= _BLOCKED_GEMM_MIN:
-                cols = np.asfortranarray(cols)
-            pre = np.add((cols.T @ e.reshape(o, -1).T).T, layer.bias[:, None], order="C")
-            pre = pre.reshape(o, b, h, w)
+            pre = (e.reshape(o, -1) @ cols).reshape(o, b, h, w)
+            pre += layer.bias[:, None, None, None]
             step = {"x": x, "e": e, "cols": cols, "pre": pre}
         x = np.maximum(pre, 0.0) if idx < last else pre
         step["out"] = x
@@ -339,14 +333,9 @@ def backward(net: Network, cache, labels, dout=None) -> list[tuple[np.ndarray, n
             db = dout.sum(axis=0)
         else:
             o, c, kh, kw = e.shape
-            # one row per output pixel, the transpose of step["cols"]: C-contiguous,
-            # except that a single image keeps dout's (o, h*w) memory, which
-            # sets the summation order of db and dw as in tests/conv_reference.py
-            dout = dout.transpose(1, 2, 3, 0).reshape(-1, o)
-            if step["x"].shape[1] > 1:
-                dout = np.ascontiguousarray(dout)
-            dw = (dout.T @ step["cols"].T).reshape(o, c, kh, kw)
-            db = dout.sum(axis=0)
+            dout = np.ascontiguousarray(dout).reshape(o, -1)
+            dw = (dout @ step["cols"].T).reshape(o, c, kh, kw)
+            db = dout.sum(axis=1)
         grads[idx] = (dw, db)
         if idx == 0:
             break
@@ -356,5 +345,5 @@ def backward(net: Network, cache, labels, dout=None) -> list[tuple[np.ndarray, n
                 c, b, h, w = steps[idx - 1]["out"].shape
                 dout = dout.reshape(b, c, h, w).swapaxes(0, 1)
         else:
-            dout = _col2im(dout @ e.reshape(o, -1), step["x"].shape, kh, kw)
+            dout = _col2im(e.reshape(o, -1).T @ dout, step["x"].shape, kh, kw)
     return grads

@@ -38,6 +38,12 @@ def _yscale(ys):
     return yt, _scale(yt[0], yt[-1], _Y0, _Y1)
 
 
+def _escape(text: str) -> str:
+    """text as SVG character data. (xml.sax.saxutils.escape does the same, but
+    importing it loads urllib.request, which costs every command ~7 MB of RSS.)"""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
@@ -48,7 +54,7 @@ def _frame(title: str, xticks, right_axis: bool) -> list[str]:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}" font-family="sans-serif">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="15" font-weight="600">{title}</text>',
+        f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="15" font-weight="600">{_escape(title)}</text>',
         f'<line x1="{_X0}" y1="{_Y0}" x2="{_X1}" y2="{_Y0}" stroke="#333"/>',
         f'<line x1="{_X0}" y1="{_Y0}" x2="{_X0}" y2="{_Y1}" stroke="#333"/>',
     ]
@@ -56,12 +62,12 @@ def _frame(title: str, xticks, right_axis: bool) -> list[str]:
         parts.append(f'<line x1="{_X1}" y1="{_Y0}" x2="{_X1}" y2="{_Y1}" stroke="#333"/>')
     for px, label in xticks:
         parts.append(f'<line x1="{px}" y1="{_Y0}" x2="{px}" y2="{_Y0 + 5}" stroke="#333"/>')
-        parts.append(f'<text x="{px}" y="{_Y0 + 20}" text-anchor="middle" font-size="11">{label}</text>')
+        parts.append(f'<text x="{px}" y="{_Y0 + 20}" text-anchor="middle" font-size="11">{_escape(label)}</text>')
     return parts
 
 
 def _xlabel(xlabel: str) -> str:
-    return f'<text x="{(_X0 + _X1) / 2}" y="{_H - 15}" text-anchor="middle" font-size="12">{xlabel}</text>'
+    return f'<text x="{(_X0 + _X1) / 2}" y="{_H - 15}" text-anchor="middle" font-size="12">{_escape(xlabel)}</text>'
 
 
 def _polyline(sx, sy, xs, ys, color):
@@ -80,7 +86,7 @@ def _close(parts: list[str], labels_colors) -> str:
     for i, (label, color) in enumerate(labels_colors):
         ly = y + 18 * i
         parts.append(f'<rect x="{x}" y="{ly - 9}" width="14" height="4" fill="{color}"/>')
-        parts.append(f'<text x="{x + 20}" y="{ly - 4}" font-size="11">{label}</text>')
+        parts.append(f'<text x="{x + 20}" y="{ly - 4}" font-size="11">{_escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -100,7 +106,7 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
         parts.append(f'<text x="{_X0 - 8}" y="{py + 4}" text-anchor="end" font-size="11">{_fmt(t)}</text>')
     mid = (_Y0 + _Y1) / 2
     parts.append(_xlabel(xlabel))
-    parts.append(f'<text x="18" y="{mid}" text-anchor="middle" font-size="12" transform="rotate(-90 18 {mid})">{ylabel}</text>')
+    parts.append(f'<text x="18" y="{mid}" text-anchor="middle" font-size="12" transform="rotate(-90 18 {mid})">{_escape(ylabel)}</text>')
     colors = [(label, PALETTE[i % len(PALETTE)]) for i, (label, _, _) in enumerate(series)]
     for (_, xs, ys), (_, color) in zip(series, colors):
         parts.append(_polyline(sx, sy, xs, ys, color))

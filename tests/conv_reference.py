@@ -2,7 +2,10 @@
 
 They lower each convolution with a padded NCHW input and a (b*h*w, c*kh*kw)
 patch matrix, as rankprune.model did before it kept conv activations channels
-first; the tests require the same logits, gradients and training bytes from
+first. Each GEMM is stated in rankprune.model's orientation, on operands stored
+as it stores them (the patch matrix (c*kh*kw, b*h*w) C-contiguous, the output
+gradient (o, b*h*w) C-contiguous), since BLAS's summation order depends on
+both; the tests require the same logits, gradients and training bytes from
 both.
 """
 
@@ -62,9 +65,8 @@ def forward(net, batch):
             if x.shape[1] != c:
                 raise ConfigurationError(f"layer {layer.name}: input channels {x.shape[1]} != {c}")
             b, _, h, w = x.shape
-            cols = _im2col(x, kh, kw)
-            pre_cols = cols @ e.reshape(o, -1).T + layer.bias
-            pre = pre_cols.reshape(b, h, w, o).transpose(0, 3, 1, 2)
+            cols = np.ascontiguousarray(_im2col(x, kh, kw).T)
+            pre = (e.reshape(o, -1) @ cols + layer.bias[:, None]).reshape(o, b, h, w).transpose(1, 0, 2, 3)
             step = {"x": x, "e": e, "cols": cols, "pre": pre}
         else:
             raise ConfigurationError(f"layer {layer.name}: weight shape {e.shape} is neither dense nor conv2d")
@@ -95,17 +97,16 @@ def backward(net, cache, labels, dout=None):
             db = dout.sum(axis=0)
         else:
             o, c, kh, kw = e.shape
-            bsz, _, h, w = step["x"].shape
-            dout = dout.transpose(0, 2, 3, 1).reshape(bsz * h * w, o)
-            dw = (dout.T @ step["cols"]).reshape(o, c, kh, kw)
-            db = dout.sum(axis=0)
+            dout = np.ascontiguousarray(dout.transpose(1, 0, 2, 3)).reshape(o, -1)
+            dw = (dout @ step["cols"].T).reshape(o, c, kh, kw)
+            db = dout.sum(axis=1)
         grads[idx] = (dw, db)
         if idx == 0:
             break
         if e.ndim == 2:
             dout = (dout @ e).reshape(steps[idx - 1]["out"].shape)
         else:
-            dout = _col2im(dout @ e.reshape(o, -1), step["x"].shape, kh, kw)
+            dout = _col2im((e.reshape(o, -1).T @ dout).T, step["x"].shape, kh, kw)
     return grads
 
 

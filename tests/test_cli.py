@@ -1,9 +1,12 @@
 """Command-line behavior: artifacts, determinism, analyze, plot."""
 
 import json
+import multiprocessing
+import os
 import re
 import struct
 from pathlib import Path
+from xml.dom import minidom
 
 import conv_reference
 import numpy as np
@@ -214,7 +217,7 @@ class TestCmdTrain:
         assert not (tmp_path / "run" / "metrics.csv").exists()
 
     def test_conv_run_matches_reference_layout(self, tmp_path, monkeypatch):
-        # masks every 10 steps; the second layer's GEMMs are large enough for the blocked kernel
+        # masks every 10 steps, two conv layers, so every conv GEMM and the patch scatter run
         pixels = np.random.default_rng(3).integers(0, 256, (40, 10, 10), dtype=np.uint8)
         images, labels = write_idx_pair(tmp_path, pixels, [i % 4 for i in range(40)])
         runs = []
@@ -227,6 +230,23 @@ class TestCmdTrain:
             assert main(["train", "--config", str(cfg_path)]) == 0
             runs.append([(tmp_path / name / f).read_bytes() for f in ("metrics.csv", "checkpoint.bin")])
         assert runs[0] == runs[1]
+
+    def test_conv_resume_reproduces_uninterrupted(self, tmp_path):
+        # stops between two mask steps of the two-conv IDX run
+        pixels = np.random.default_rng(4).integers(0, 256, (40, 10, 10), dtype=np.uint8)
+        images, labels = write_idx_pair(tmp_path, pixels, [i % 4 for i in range(40)])
+        cfg_path = tmp_path / "conv.cfg"
+        cfg_path.write_text(IDX_CONFIG.format(model="input = 1x10x10\nlayers = conv:8x3x3, conv:16x3x3",
+                                              images=images, labels=labels, out=tmp_path / "full"))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        out_a, out_b = tmp_path / "part_a", tmp_path / "part_b"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out_a), "--stop-after", "15"]) == 0
+        assert main(["train", "--config", str(cfg_path), "--out", str(out_b),
+                     "--resume", str(out_a / "checkpoint.bin")]) == 0
+        rows = [(tmp_path / d / "metrics.csv").read_text().splitlines() for d in ("full", "part_a", "part_b")]
+        assert len(rows[1]) > 1 and len(rows[2]) > 1
+        assert rows[1][1:] + rows[2][1:] == rows[0][1:]
+        assert (out_b / "checkpoint.bin").read_bytes() == (tmp_path / "full" / "checkpoint.bin").read_bytes()
 
     def test_stop_between_record_steps_gives_null_summary_fields(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
@@ -417,7 +437,28 @@ class TestCmdSweep:
         assert main(["sweep-lambda", "--config", str(cfg_path), "--lambdas", "0,0.1", "--out", str(seq_out)]) == 0
         par_out = tmp_path / "par"
         monkeypatch.setenv("RANKPRUNE_THREADS", "2")
+        # BLAS is pinned where the caller left it unset, only while the spawn pool starts
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        real_get_context, at_start = multiprocessing.get_context, []
+
+        def get_context(method):
+            assert method == "spawn"
+            ctx = real_get_context(method)
+
+            def pool(processes):
+                at_start.append({var: os.environ.get(var) for var in blas})
+                return ctx.Pool(processes)
+
+            return type("Spy", (), {"Pool": staticmethod(pool)})
+
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        environ = dict(os.environ)
         assert main(["sweep-lambda", "--config", str(cfg_path), "--lambdas", "0,0.1", "--out", str(par_out)]) == 0
+        assert at_start == [{"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}]
+        assert dict(os.environ) == environ
         assert (par_out / "lambda_sweep.csv").read_bytes() == (seq_out / "lambda_sweep.csv").read_bytes()
         assert (par_out / "lambda_0" / "metrics.csv").read_bytes() == (
             seq_out / "lambda_0" / "metrics.csv"
@@ -524,6 +565,24 @@ class TestCmdPlot:
         assert main(["plot", str(path), "--out", str(out)]) == 0
         svg = (out / "rank_vs_lambda.svg").read_text()
         assert svg.count("<polyline") == 2
+
+    def test_bad_lambda_cell_names_line(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_text("lambda,avg_delta_rank,eval_accuracy\n0.0,10.0,0.9\n<b>,12.0,0.92\n")
+        out = tmp_path / "charts"
+        assert main(["plot", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:3: column 'lambda': bad number '<b>'\n"
+        assert not out.exists()
+
+    def test_markup_in_labels_is_escaped(self, tmp_path):
+        metrics = self.metrics_csv(tmp_path, "a&b<c>.csv")
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("lambda,avg_delta_rank,eval_accuracy\n0.0,10.0,0.9\n1e-1,12.0,0.92\n")
+        out = tmp_path / "charts"
+        assert main(["plot", str(metrics), str(sweep), "--out", str(out)]) == 0
+        for name, label in (("rank_vs_sparsity.svg", "a&b<c>"), ("rank_vs_lambda.svg", "1e-1")):
+            doc = minidom.parse(str(out / name))
+            assert label in [t.firstChild.data for t in doc.getElementsByTagName("text")]
 
     def test_empty_csv_no_file_written(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

@@ -352,28 +352,50 @@ class TestMatchesReference:
             np.testing.assert_array_equal(dw, ref_dw)
             np.testing.assert_array_equal(db, ref_db)
 
-    def test_cases_store_patches_both_ways(self):
-        # small conv GEMMs keep the patch matrix one row per pixel; the cases cover both
-        orders = set()
-        for case in REFERENCE_CASES:
-            net, batch = reference_case(*case)
-            _, cache = model.forward(net, batch)
-            orders |= {s["cols"].flags.c_contiguous for s in cache["steps"] if "cols" in s}
-        assert orders == {True, False}
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_patch_matrix_has_one_layout(self, batch):
+        # every conv GEMM reads the patch matrix as _im2col returns it
+        for input_shape, convs, kernel, _ in REFERENCE_CASES:
+            net, batch_ = reference_case(input_shape, convs, kernel, batch)
+            _, cache = model.forward(net, batch_)
+            h, w = input_shape[1:]
+            for step in cache["steps"]:
+                if "cols" in step:
+                    c = step["x"].shape[0]
+                    assert step["cols"].shape == (c * kernel[0] * kernel[1], batch * h * w)
+                    assert step["cols"].flags.c_contiguous
+
+    @pytest.mark.parametrize("input_shape,convs,kernel,batch", REFERENCE_CASES)
+    def test_backward_leaves_cache_unchanged(self, input_shape, convs, kernel, batch):
+        # _col2im zeroes strips of the patch gradient in place, never of a cached array
+        net, batch_ = reference_case(input_shape, convs, kernel, batch)
+        _, cache = model.forward(net, batch_)
+        before = [{k: v.copy() for k, v in step.items()} for step in cache["steps"]]
+        model.backward(net, cache, batch_.labels)
+        for step, saved in zip(cache["steps"], before):
+            assert step.keys() == saved.keys()
+            for k in ("x", "cols", "pre", "out", "e"):
+                if k in step:
+                    assert same_bits(step[k], saved[k]), k
 
 
 def same_bits(a, b):
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_patch_kernels_match_reference_bitwise(seed):
-    """_im2col and _col2im on (c, b, h, w) give the bits, signed zeros included,
-    of the reference's padded NCHW kernels on the same shapes."""
+def patch_kernel_shapes(seed):
     rng = np.random.default_rng(seed)
     shapes = [tuple(int(v) for v in rng.integers(1, [4, 4, 8, 8, 7, 7])) for _ in range(50)]
     if seed == 0:  # one large patch matrix, 5.3 MB
         shapes.append((8, 64, 12, 12, 3, 3))
+    return rng, shapes
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_patch_kernels_match_reference_bitwise(seed):
+    """_im2col and _col2im on (c, b, h, w) give the bits, signed zeros included,
+    of the reference's padded NCHW kernels on the same shapes."""
+    rng, shapes = patch_kernel_shapes(seed)
     for c, b, h, w, kh, kw in shapes:
         x, d = (
             rng.normal(size=shape) * rng.choice([-0.0, 0.0, 1.0], size=shape, p=[0.2, 0.2, 0.6])
@@ -381,7 +403,17 @@ def test_patch_kernels_match_reference_bitwise(seed):
         )
         expected = ref._im2col(x, kh, kw).T, ref._col2im(d, (b, c, h, w), kh, kw)
         assert same_bits(model._im2col(x.swapaxes(0, 1), kh, kw), expected[0]), (c, b, h, w, kh, kw)
-        d_before = d.copy()
-        dx = model._col2im(d, (c, b, h, w), kh, kw)
+        dx = model._col2im(np.ascontiguousarray(d.T), (c, b, h, w), kh, kw)
         assert same_bits(dx.swapaxes(0, 1), expected[1]), (c, b, h, w, kh, kw)
-        assert same_bits(d, d_before)  # the patch gradient is read, not zeroed in place
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_col2im_is_adjoint_of_im2col(seed):
+    # <im2col(x), D> = <x, col2im(D)>, whatever the orientation of either kernel's GEMMs
+    rng, shapes = patch_kernel_shapes(seed)
+    for c, b, h, w, kh, kw in shapes:
+        x = rng.normal(size=(c, b, h, w))
+        d = rng.normal(size=(c * kh * kw, b * h * w))
+        lhs = np.vdot(model._im2col(x, kh, kw), d)
+        rhs = np.vdot(x, model._col2im(d.copy(), x.shape, kh, kw))
+        assert lhs == pytest.approx(rhs, rel=1e-12), (c, b, h, w, kh, kw)
