@@ -6,6 +6,11 @@ effective tensor at *every* position, pruned ones included: the gradient a
 masked weight would receive were it active. That dense gradient is what drives
 regrowth.
 
+Each hidden layer's ReLU runs in place on its pre-activation, so a cached
+"pre" is that layer's activation "out", one array. backward's mask pre > 0.0
+reads the same bits either way: relu(p) > 0 holds exactly when p > 0, for
+-0.0 and NaN too.
+
 Convolutions are stride 1, zero-padded to keep spatial size, and lowered to
 one GEMM each (im2col; Chellapilla et al. 2006). Between conv layers the
 activations are (c, b, h, w): channels first, then batch. The patch matrix is
@@ -268,7 +273,7 @@ def forward(net: Network, batch: Batch):
             pre = (e.reshape(o, -1) @ cols).reshape(o, b, h, w)
             pre += layer.bias[:, None, None, None]
             step = {"x": x, "e": e, "cols": cols, "pre": pre}
-        x = np.maximum(pre, 0.0) if idx < last else pre
+        x = np.maximum(pre, 0.0, out=pre) if idx < last else pre
         step["out"] = x
         steps.append(step)
     logits = x

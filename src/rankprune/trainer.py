@@ -134,7 +134,7 @@ class TrainResult:
 
 def _batch_indices(seed: int, step: int, n: int, batch_size: int) -> np.ndarray:
     """Deterministic with-replacement draw for one step, independent of history."""
-    rng = np.random.default_rng(np.random.PCG64(np.random.SeedSequence([seed, 1, step])))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1, step])))
     return rng.integers(0, n, size=batch_size)
 
 
@@ -146,8 +146,7 @@ def combined_gradient(net: Network, batch: Batch, rank_cfg: RankLossConfig):
     Layers whose weight is degenerate (near-zero norm, tied spectrum at the
     truncation boundary, or rank bound 1) contribute task gradient only.
     """
-    logits, cache = forward(net, batch)
-    grads = backward(net, cache, batch.labels)
+    grads = backward(net, forward(net, batch)[1], batch.labels)  # the cache goes before the rank terms
     lam = rank_cfg.lam
     if lam == 0.0:
         return grads
@@ -257,6 +256,13 @@ def train(
     problems raise, they are never clamped away; a non-finite task loss
     raises DivergenceError before the step updates anything, and a weight
     norm that overflows raises it at the next step that records rank metrics.
+
+    A mask step drops its forward cache before combined_gradient runs its
+    own forward and backward, so no backward runs beside a second cache. A
+    plain step's cache lives until the next forward returns. Dropping it
+    right after its backward lowered the peak further, but left the top of
+    the heap free between steps; glibc returned that memory to the system
+    and the next forward faulted it back in (conv-s90 steps/s 278 -> 191).
     """
     sched = cfg.schedule
     opt = optimizer if optimizer is not None else OptimizerState.zeros_like(net)
@@ -282,6 +288,7 @@ def train(
             raise _divergence(net, cache, step, loss)
         acc = accuracy(logits, batch.labels)
         if mask_step:
+            del cache  # combined_gradient runs its own forward and backward
             grads = combined_gradient(net, batch, cfg.rank_cfg)
             dense_grads = [dw for dw, _ in grads]
             sparsity.update_masks(net, dense_grads, sched, cfg.grow, step)

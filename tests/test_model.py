@@ -126,6 +126,35 @@ class TestForward:
         np.testing.assert_array_equal(dw0, dpre0.T @ x)
         np.testing.assert_array_equal(db0, dpre0.sum(axis=0))
 
+    def test_relu_in_place_keeps_the_backward_mask(self):
+        # a hidden layer's cached pre is its out, and backward's mask on it has
+        # the bits of dout * (pre-activation > 0.0)
+        rng = np.random.default_rng(8)
+        w0, w1 = rng.normal(size=(8, 4)), rng.normal(size=(3, 8))
+        w0[:4] = 0.0  # units 0-3: each pre-activation is the bias, +0.0 plus it
+        b0 = np.array([-1.5, np.nan, 2.0, -0.0, 0.5, -0.5, 0.0, 0.0])
+        layers = [
+            model.Layer(params=MaskedTensor(w, np.ones_like(w)), bias=b, name=f"l{i}")
+            for i, (w, b) in enumerate(((w0, b0), (w1, np.zeros(3))))
+        ]
+        net = model.Network(layers=layers)
+        x, labels = rng.normal(size=(6, 4)), np.array([0, 1, 2, 0, 1, 2])
+        pre0 = x @ w0.T + b0
+        assert np.isnan(pre0).any() and (pre0 < 0).any() and (pre0 == 0).any() and (pre0 > 0).any()
+        _, cache = model.forward(net, Batch(x, labels))
+        assert all(np.shares_memory(step["pre"], step["out"]) for step in cache["steps"][:-1])
+
+        dout = rng.normal(size=(6, 3))  # finite, though the NaN unit makes the logits NaN
+        dw0, db0 = model.backward(net, cache, labels, dout)[0]
+        dpre0 = (dout @ w1) * (pre0 > 0.0)
+        assert same_bits(dw0, dpre0.T @ x) and same_bits(db0, dpre0.sum(axis=0))
+        # a GEMM plus bias sums from +0.0, so -0.0 never reaches the ReLU
+        # above; the in-place ReLU that forward runs keeps the mask there too
+        p = np.array([-0.0, 0.0, -1.5, np.nan, -np.inf, 2.0, 5e-324, -5e-324])
+        relu = p.copy()
+        np.maximum(relu, 0.0, out=relu)
+        assert same_bits(relu > 0.0, p > 0.0)
+
     def test_shape_mismatch_is_config_error(self):
         net = model.build_network(3, [("dense", 4)], 2, seed=0)
         with pytest.raises(ConfigurationError):

@@ -274,7 +274,33 @@ class TestEvaluate:
         assert eval_peak < 1.5 * traced_peak(lambda: model.forward(net, batch))
 
 
+@pytest.mark.parametrize("seed, step", [(0, 1), (3, 77), (11, 2999), (2**31, 5)])
+def test_batch_indices_are_default_rngs_draws(seed, step):
+    want = np.random.default_rng(np.random.PCG64(np.random.SeedSequence([seed, 1, step])))
+    assert np.array_equal(trainer._batch_indices(seed, step, 300, 32), want.integers(0, 300, size=32))
+
+
 class TestTrain:
+    def test_peak_memory_within_one_training_step(self):
+        # the conv-s90 benchmark's net over plain (1, 3, 5), mask (2, 4) and
+        # record (2, 4, 6) steps: a plain step's cache lives into the next
+        # forward (~1.24x), and one kept through a mask step's own forward
+        # and backward would lift the peak ~1.7x
+        rng = np.random.default_rng(0)
+        net = model.build_network((1, 12, 12), [("conv2d", 8, 3, 3), ("conv2d", 16, 3, 3)], 10, seed=0)
+        x, y = rng.normal(size=(120, 1, 12, 12)), rng.integers(0, 10, 120)
+        data = datasets.Dataset(x, y, x[:40], y[:40])
+        batch = Batch(x[:32], y[:32])
+        model.forward(net, batch)  # a first forward's one-time allocations fall outside the traces
+
+        def step():
+            logits, cache = model.forward(net, batch)
+            _, dout = model.loss_and_dout(logits, batch.labels)
+            model.backward(net, cache, batch.labels, dout)
+
+        cfg = small_config(final_sparsity=0.5, prune=4, interval=2, total=6, batch_size=32)
+        assert traced_peak(lambda: trainer.train(net, data, cfg)) <= 1.25 * traced_peak(step)
+
     def test_dense_schedule_keeps_masks_full(self):
         cfg = small_config(final_sparsity=0.0, prune=100, interval=50, total=150)
         res = trainer.train(small_net(), small_dataset(), cfg)
