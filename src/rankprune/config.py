@@ -176,10 +176,19 @@ class _Section:
                 f"{self.path}:{lineno}: [{self.name}] {key}: expected {expected}, got {value!r}"
             ) from None
 
-    def error(self, key: str, message: str):
+    def _where(self, key: str) -> str:
         _, lineno = self.entries.get(key, ("", 0))
-        where = f"{self.path}:{lineno}" if lineno else self.path
-        return ConfigError(f"{where}: [{self.name}] {key}: {message}")
+        return f"{self.path}:{lineno}" if lineno else self.path
+
+    def error(self, key: str, message: str):
+        return ConfigError(f"{self._where(key)}: [{self.name}] {key}: {message}")
+
+    def check_error(self, keys, exc: ValueError):
+        """A dataclass check's error, at the line of the key whose file key or
+        field name its message starts with (no line if none does)."""
+        word = str(exc).split(" ", 1)[0]
+        key = next((k for k, path in keys if word in (k, path.rsplit(".", 1)[-1])), word)
+        return ConfigError(f"{self._where(key)}: [{self.name}] {exc}")
 
     def check_unknown(self):
         extra = set(self.entries) - self.seen
@@ -275,7 +284,7 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
     try:
         dataset = _build(spec_cls, values)
     except ValueError as exc:
-        raise ConfigError(f"{path}: [dataset] {exc}") from None
+        raise dsec.check_error(keys, exc) from None
     if kind == "synthetic":
         if len(input_shape) != 1:
             got = "x".join(str(d) for d in input_shape)
@@ -302,7 +311,7 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
     try:
         train_cfg = _build(TrainConfig, values)
     except ValueError as exc:
-        raise ConfigError(f"{path}: [train] {exc}") from None
+        raise tsec.check_error(_TRAIN_KEYS, exc) from None
     tsec.check_unknown()
 
     rsec = _Section(path, "report", sections.get("report", {}))

@@ -47,9 +47,10 @@ class SyntheticDatasetSpec:
 
     def __post_init__(self):
         if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.features < 1 or self.samples_per_class < 1:
-            raise ValueError("features and samples_per_class must be positive")
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        for name in ("features", "samples_per_class"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.cluster_spread > 0.0:
             raise ValueError(f"cluster_spread must be positive, got {self.cluster_spread}")
         if self.seed < 0:

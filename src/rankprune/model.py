@@ -6,6 +6,12 @@ effective tensor at *every* position, pruned ones included: the gradient a
 masked weight would receive were it active. That dense gradient is what drives
 regrowth.
 
+The stored weight is the effective weight. MaskedTensor keeps it at +-0
+wherever the mask is 0, so weight * mask would equal it bit for bit, and
+effective() returns the stored array without computing that product. A
+forward cache therefore holds the very arrays that sgd_step updates in place;
+backward refuses a cache from before the network's last touch().
+
 Each hidden layer's ReLU runs in place on its pre-activation, so a cached
 "pre" is that layer's activation "out", one array. backward's mask pre > 0.0
 reads the same bits either way: relu(p) > 0 holds exactly when p > 0, for
@@ -67,26 +73,48 @@ class InvalidStateError(RuntimeError):
     """A backward pass was given a cache from an outdated forward."""
 
 
-@dataclass
 class MaskedTensor:
-    """A weight tensor and its same-shape binary mask (1 = active)."""
+    """A weight tensor and its same-shape binary mask (1 = active).
 
-    weight: np.ndarray
-    mask: np.ndarray
+    The stored weight is zero wherever the mask is 0: the constructor and
+    both setters multiply it by the mask. The constructor and the weight
+    setter store that product as a new array, so the caller's array is never
+    written; the mask setter multiplies the stored weight in place, so arrays
+    handed out earlier (checkpoint.state_from) stay the layer's.
+    """
 
-    def effective(self) -> np.ndarray:
-        return self.weight * self.mask
+    __slots__ = ("_weight", "_mask")
+
+    def __init__(self, weight: np.ndarray, mask: np.ndarray):
+        self._mask = np.asarray(mask, dtype=np.float64)
+        self.weight = weight
+
+    @property
+    def weight(self) -> np.ndarray:
+        return self._weight
+
+    @weight.setter
+    def weight(self, weight: np.ndarray) -> None:
+        if np.shape(weight) != self._mask.shape:
+            raise ValueError(f"weight shape {np.shape(weight)} != mask shape {self._mask.shape}")
+        self._weight = np.multiply(weight, self._mask, dtype=np.float64)
 
     def set_mask(self, mask: np.ndarray) -> None:
-        """Install a new mask and zero stored values at pruned positions."""
-        if mask.shape != self.weight.shape:
-            raise ValueError(f"mask shape {mask.shape} != weight shape {self.weight.shape}")
-        self.mask = np.asarray(mask, dtype=np.float64)
-        self.weight = self.weight * self.mask
+        """Install a new mask and zero stored values at pruned positions, in place."""
+        if mask.shape != self._weight.shape:
+            raise ValueError(f"mask shape {mask.shape} != weight shape {self._weight.shape}")
+        self._mask = np.asarray(mask, dtype=np.float64)
+        self._weight *= self._mask
+
+    mask = property(lambda self: self._mask, set_mask)
+
+    def effective(self) -> np.ndarray:
+        """The weight as forward uses it: the stored weight itself, never a copy."""
+        return self._weight
 
     @property
     def active_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return int(np.count_nonzero(self._mask))
 
 
 @dataclass
@@ -256,7 +284,8 @@ def forward(net: Network, batch: Batch):
                 raise ConfigurationError(
                     f"layer {layer.name}: input width {x.shape[1]} != fan-in {e.shape[1]}"
                 )
-            pre = x @ e.T + layer.bias
+            pre = x @ e.T
+            pre += layer.bias
             step = {"x": x, "e": e, "pre": pre}
         else:
             if x.ndim != 4:
@@ -285,20 +314,28 @@ def forward(net: Network, batch: Batch):
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted
 
 
 def loss_and_dout(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """task_loss and its gradient with respect to the logits, from one log-softmax."""
+    """task_loss and its gradient with respect to the logits, from one log-softmax.
+
+    The loss is the picked log-probabilities' sum over n, the same double as
+    their np.mean; the gradient is taken in the log-softmax's own buffer.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    if logits.shape[0] != labels.shape[0]:
+    n = labels.shape[0]
+    if logits.shape[0] != n:
         raise ValueError("logits and labels disagree on batch size")
-    rows = np.arange(len(labels))
+    rows = np.arange(n)
     logp = _log_softmax(logits)
-    probs = np.exp(logp)
+    loss = -float(logp[rows, labels].sum() / n)
+    probs = np.exp(logp, out=logp)
     probs[rows, labels] -= 1.0
-    return float(-np.mean(logp[rows, labels])), probs / len(labels)
+    probs /= n
+    return loss, probs
 
 
 def task_loss(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -307,7 +344,8 @@ def task_loss(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
+    """The share of rows whose largest logit is the label's, a Python float."""
+    return int(np.count_nonzero(np.argmax(logits, axis=1) == np.asarray(labels))) / len(logits)
 
 
 def backward(net: Network, cache, labels, dout=None) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -331,7 +369,7 @@ def backward(net: Network, cache, labels, dout=None) -> list[tuple[np.ndarray, n
     for idx in range(last, -1, -1):
         step = steps[idx]
         if idx < last:
-            dout = dout * (step["pre"] > 0.0)
+            dout *= step["pre"] > 0.0  # dout is this pass's own array below the logits
         e = step["e"]
         if e.ndim == 2:
             dw = dout.T @ step["x"]

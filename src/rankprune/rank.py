@@ -86,28 +86,32 @@ class RankLossConfig:
             raise ValueError(f"norm_floor must be positive, got {self.norm_floor}")
 
 
-def normalize(w, norm_floor: float = 1e-12) -> np.ndarray:
-    """Scale a matrix to unit Frobenius norm, preserving direction."""
-    w = as_matrix(w)
+def _normalized(w: np.ndarray, norm_floor: float) -> tuple[np.ndarray, float]:
+    """(w/||w||, ||w||) of a matrix from as_matrix."""
     norm = frobenius_norm(w)
     if norm <= norm_floor:
         raise DegenerateWeightError(
             f"Frobenius norm {norm} at or below floor {norm_floor}"
         )
-    return w / norm
+    return w / norm, norm
+
+
+def normalize(w, norm_floor: float = 1e-12) -> np.ndarray:
+    """Scale a matrix to unit Frobenius norm, preserving direction."""
+    return _normalized(as_matrix(w), norm_floor)[0]
 
 
 def _live_block(w, norm_floor: float):
-    """(w as a matrix, w/||w||, live rows, live columns, live block of w/||w||).
+    """(w as a matrix, ||w||, w/||w||, live rows, live columns, live block of w/||w||).
 
     A row or column is live when it holds a nonzero of w/||w||.
     """
     w = as_matrix(w)
-    wbar = normalize(w, norm_floor)
+    wbar, norm = _normalized(w, norm_floor)
     nonzero = wbar != 0.0
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
-    return w, wbar, rows, cols, wbar.take(rows, axis=0).take(cols, axis=1)
+    return w, norm, wbar, rows, cols, wbar.take(rows, axis=0).take(cols, axis=1)
 
 
 def _padded(sigma, w: np.ndarray, k: int | None) -> SvdFactors:
@@ -119,13 +123,13 @@ def _padded(sigma, w: np.ndarray, k: int | None) -> SvdFactors:
 
 
 def _spectrum(w, norm_floor: float, k: int | None = None):
-    """The one normalize->SVD pass: (w as a matrix, SVD values of w/||w||, live rank bound).
+    """The one normalize->SVD pass: (||w||, SVD values of w/||w||, live rank bound).
 
     The values-only SVD runs on the live block; the live rank bound is the
     smaller of its dimensions.
     """
-    w, _, _, _, b = _live_block(w, norm_floor)
-    return w, _padded(svd(b, False).sigma, w, k), min(b.shape)
+    w, norm, _, _, _, b = _live_block(w, norm_floor)
+    return norm, _padded(svd(b, False).sigma, w, k), min(b.shape)
 
 
 def _gram(w, norm_floor: float, k: int | None = None):
@@ -137,7 +141,7 @@ def _gram(w, norm_floor: float, k: int | None = None):
     eigenbasis in ascending eigenvalue order, its rows placed at the live
     rows (left) or columns of w and zero at the dead ones.
     """
-    w, wbar, rows, cols, b = _live_block(w, norm_floor)
+    w, _, wbar, rows, cols, b = _live_block(w, norm_floor)
     left = b.shape[0] <= b.shape[1]
     lam, q = np.linalg.eigh(b @ b.T if left else b.T @ b)
     basis = np.zeros((w.shape[0] if left else w.shape[1], q.shape[1]))
@@ -309,12 +313,12 @@ def layer_spectrum(w, delta: float, cfg: RankLossConfig | None = None, norm_floo
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     try:
-        w, f, bound = _spectrum(w, norm_floor)
+        norm, f, bound = _spectrum(w, norm_floor)
     except DegenerateWeightError:
         return np.zeros(0), 0, None
     drank = _delta_rank(f, delta)
     loss = None
-    if cfg is not None and frobenius_norm(w) > cfg.norm_floor:
+    if cfg is not None and norm > cfg.norm_floor:
         try:
             loss = _term(f, bound, cfg.target_error)[1]
         except DegenerateSpectrumError:

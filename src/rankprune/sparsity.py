@@ -57,8 +57,9 @@ class SparsitySchedule:
     def __post_init__(self):
         if not 0.0 <= self.final_sparsity < 1.0:
             raise ValueError(f"final_sparsity must lie in [0,1), got {self.final_sparsity}")
-        if self.prune_steps < 1 or self.update_interval < 1:
-            raise ValueError("prune_steps and update_interval must be positive")
+        for name in ("prune_steps", "update_interval"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.total_steps < self.prune_steps:
             raise ValueError(
                 f"total_steps {self.total_steps} < prune_steps {self.prune_steps}"

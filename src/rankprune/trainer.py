@@ -15,6 +15,7 @@ having stopped.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -165,20 +166,22 @@ def sgd_step(net: Network, grads, opt: OptimizerState, lr: float, momentum: floa
     """Momentum SGD with weight decay on active weights and biases.
 
     Masked positions receive no update and their stored values stay zero.
-    Weights, biases and momentum buffers are updated in place; a weight update
-    allocates one temporary.
+    Weights, biases and momentum buffers are updated in place; each weight and
+    each bias update allocates one temporary.
     """
     for layer, (dw, db), wbuf, bbuf in zip(net.layers, grads, opt.weight_buffers, opt.bias_buffers):
-        g = np.multiply(layer.params.weight, weight_decay)
+        w = layer.params.weight  # "w -= ..." on the attribute would call its setter, a copy
+        g = np.multiply(w, weight_decay)
         g += dw
         g *= layer.params.mask
         wbuf *= momentum
         wbuf += g
-        layer.params.weight -= np.multiply(wbuf, lr, out=g)
-        gb = db + weight_decay * layer.bias
+        w -= np.multiply(wbuf, lr, out=g)
+        gb = np.multiply(layer.bias, weight_decay)
+        gb += db
         bbuf *= momentum
         bbuf += gb
-        layer.bias -= lr * bbuf
+        layer.bias -= np.multiply(bbuf, lr, out=gb)
     net.touch()
 
 
@@ -284,7 +287,7 @@ def train(
         mask_step = update_step and step <= sched.prune_steps
         logits, cache = forward(net, batch)
         loss, dout = loss_and_dout(logits, batch.labels)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise _divergence(net, cache, step, loss)
         acc = accuracy(logits, batch.labels)
         if mask_step:

@@ -270,8 +270,8 @@ class TestCmdTrain:
             ("[report]", "[reprot]", ":22: unknown section [reprot]"),
             ("learning_rate = 0.03", "learning_rate = inf", ":18: [train] learning_rate: expected a finite number, got 'inf'"),
             ("cluster_spread = 0.8", "cluster_spread = nan", ":10: [dataset] cluster_spread: expected a finite number, got 'nan'"),
-            ("seed = 1\n", "seed = -1\n", ": [train] seed must be >= 0, got -1"),
-            ("seed = 7", "seed = -1", ": [dataset] seed must be >= 0, got -1"),
+            ("seed = 1\n", "seed = -1\n", ":20: [train] seed must be >= 0, got -1"),
+            ("seed = 7", "seed = -1", ":11: [dataset] seed must be >= 0, got -1"),
         ],
     )
     def test_bad_config_rejected_before_writing(self, tmp_path, capsys, monkeypatch, old, new, message):

@@ -136,11 +136,23 @@ def test_unknown_section_names_line():
          "bad.cfg:18: [train] learning_rate: expected a finite number, got 'inf'"),
         ("cluster_spread = 0.8", "cluster_spread = -inf",
          "bad.cfg:10: [dataset] cluster_spread: expected a finite number, got '-inf'"),
-        ("total_steps = 300\n", "total_steps = 300\nseed = -1\n", "bad.cfg: [train] seed must be >= 0, got -1"),
-        ("seed = 7", "seed = -1", "bad.cfg: [dataset] seed must be >= 0, got -1"),
+        ("total_steps = 300\n", "total_steps = 300\nseed = -1\n", "bad.cfg:18: [train] seed must be >= 0, got -1"),
+        ("seed = 7", "seed = -1", "bad.cfg:11: [dataset] seed must be >= 0, got -1"),
+        ("total_steps = 300\n", "total_steps = 300\nlearning_rate = -1\n",
+         "bad.cfg:18: [train] learning_rate must be positive, got -1.0"),
+        ("total_steps = 300\n", "total_steps = 300\nlambda = -1\n",
+         "bad.cfg:18: [train] lambda must be finite and >= 0, got -1.0"),
+        ("update_interval = 50", "update_interval = 0", "bad.cfg:16: [train] update_interval must be positive, got 0"),
+        ("total_steps = 300", "total_steps = 100", "bad.cfg:17: [train] total_steps 100 < prune_steps 200"),
+        ("update_interval = 50", "update_interval = 30",
+         "bad.cfg:15: [train] prune_steps 200 must be a multiple of update_interval 30"),
+        ("samples_per_class = 30", "samples_per_class = 0",
+         "bad.cfg:9: [dataset] samples_per_class must be positive, got 0"),
+        ("seed = 7", "seed = 7\nclasses = 1", "bad.cfg:12: [dataset] num_classes must be >= 2, got 1"),
     ],
 )
 def test_non_finite_number_and_negative_seed_rejected(old, new, message):
+    # a value a dataclass check rejects names its line, as a type error does
     with pytest.raises(ConfigError) as err:
         parse_config_text(MINIMAL.replace(old, new), "bad.cfg")
     assert str(err.value) == message

@@ -3,8 +3,10 @@
 import conv_reference as ref
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankprune import model
+from rankprune import checkpoint, model, trainer
 from rankprune.model import Batch, ConfigurationError, InvalidStateError, MaskedTensor
 
 
@@ -446,3 +448,135 @@ def test_col2im_is_adjoint_of_im2col(seed):
         lhs = np.vdot(model._im2col(x, kh, kw), d)
         rhs = np.vdot(x, model._col2im(d.copy(), x.shape, kh, kw))
         assert lhs == pytest.approx(rhs, rel=1e-12), (c, b, h, w, kh, kw)
+
+
+STORED_ARCH = ((1, 4, 4), [("conv2d", 2, 3, 3), ("dense", 5)], 3)
+
+
+def assert_stored_is_effective(net):
+    for layer in net.layers:
+        p = layer.params
+        assert p.effective() is p.weight
+        assert not p.weight[p.mask == 0.0].any(), layer.name
+
+
+def random_mask(rng, shape):
+    m = (rng.random(shape) < 0.5).astype(float)
+    m.ravel()[0] = 1.0
+    return m
+
+
+def donor_state(rng):
+    """A checkpoint state of the same architecture, its masked entries zero."""
+    net = model.build_network(*STORED_ARCH, seed=int(rng.integers(100)))
+    opt = trainer.OptimizerState.zeros_like(net)
+    for layer, buf in zip(net.layers, opt.weight_buffers):
+        layer.params.mask = random_mask(rng, buf.shape)
+        buf += rng.normal(size=buf.shape) * layer.params.mask
+    return checkpoint.state_from(net, opt, 1, bytes(32))
+
+
+class TestStoredWeightIsEffective:
+    """MaskedTensor keeps the stored weight at zero wherever the mask is 0, so
+    effective() can return it without forming weight * mask."""
+
+    OPS = ("weight", "mask", "set_mask", "sgd_step", "restore_into")
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2**32 - 1)), max_size=10))
+    def test_any_sequence_keeps_masked_weights_zero(self, ops):
+        net = model.build_network(*STORED_ARCH, seed=1)
+        opt = trainer.OptimizerState.zeros_like(net)
+        assert_stored_is_effective(net)
+        for op, seed in ops:
+            rng = np.random.default_rng(seed)
+            layer = net.layers[int(rng.integers(len(net.layers)))]
+            shape = layer.params.weight.shape
+            if op == "weight":
+                layer.params.weight = rng.normal(size=shape)
+            elif op in ("mask", "set_mask"):
+                if op == "mask":
+                    layer.params.mask = random_mask(rng, shape)
+                else:
+                    layer.params.set_mask(random_mask(rng, shape))
+                opt.mask_pruned(net)  # as train does after every mask update
+            elif op == "sgd_step":
+                grads = [(rng.normal(size=l.params.weight.shape), rng.normal(size=l.bias.shape)) for l in net.layers]
+                trainer.sgd_step(net, grads, opt, 0.1, 0.9, 0.01)
+            else:
+                state = donor_state(rng)
+                checkpoint.restore_into(state, net, opt)
+                for i, l in enumerate(net.layers):
+                    assert np.array_equal(l.params.weight, state.tensors[f"layer{i}.weight"])
+                    assert np.array_equal(l.params.mask, state.tensors[f"layer{i}.mask"])
+            net.touch()
+            assert_stored_is_effective(net)
+
+    def test_restore_into_keeps_the_arrays_state_from_handed_out(self):
+        rng = np.random.default_rng(2)
+        net = model.build_network(*STORED_ARCH, seed=1)
+        opt = trainer.OptimizerState.zeros_like(net)
+        live = checkpoint.state_from(net, opt, 0, bytes(32)).tensors
+        state = donor_state(rng)
+        checkpoint.restore_into(state, net, opt)
+        for i, l in enumerate(net.layers):
+            assert l.params.weight is live[f"layer{i}.weight"]
+            assert np.array_equal(l.params.weight, state.tensors[f"layer{i}.weight"])
+
+    def test_constructor_and_weight_setter_leave_the_callers_array(self):
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=(4, 5))
+        m = random_mask(rng, w.shape)
+        before = w.copy()
+        params = MaskedTensor(w, m)
+        assert same_bits(w, before) and params.weight is not w
+        assert same_bits(params.weight, w * m)
+        params.weight = w
+        assert same_bits(w, before) and params.weight is not w
+
+    def test_shape_mismatch_rejected(self):
+        params = MaskedTensor(np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="weight shape"):
+            params.weight = np.ones(3)
+        with pytest.raises(ValueError, match="mask shape"):
+            params.mask = np.ones(3)
+
+    def test_backward_refuses_a_cache_from_before_sgd_step(self):
+        # the cache holds the stored weights themselves, which sgd_step updates in place
+        net = model.build_network(*STORED_ARCH, seed=4)
+        batch = Batch(np.random.default_rng(5).normal(size=(2, 1, 4, 4)), np.array([0, 2]))
+        _, cache = model.forward(net, batch)
+        assert all(step["e"] is l.params.weight for step, l in zip(cache["steps"], net.layers))
+        grads = model.backward(net, cache, batch.labels)
+        trainer.sgd_step(net, grads, trainer.OptimizerState.zeros_like(net), 0.1, 0.9, 0.0)
+        with pytest.raises(InvalidStateError):
+            model.backward(net, cache, batch.labels)
+
+
+def old_loss_and_dout(logits, labels):
+    """loss_and_dout as it read before it took its loss as sum / n in place."""
+    rows = np.arange(len(labels))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    probs = np.exp(logp)
+    probs[rows, labels] -= 1.0
+    return float(-np.mean(logp[rows, labels])), probs / len(labels)
+
+
+def old_accuracy(logits, labels):
+    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_loss_and_accuracy_match_the_old_formulas_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(1, 70)), int(rng.integers(2, 12))
+    logits = rng.normal(size=(n, k)) * float(rng.choice([1e-3, 1.0, 30.0, 700.0]))
+    logits[rng.random((n, k)) < 0.1] = 0.0
+    labels = rng.integers(0, k, n)
+    loss, dout = model.loss_and_dout(logits, labels)
+    want_loss, want_dout = old_loss_and_dout(logits, labels)
+    assert type(loss) is float and same_bits(np.float64(loss), np.float64(want_loss))
+    assert same_bits(dout, want_dout) and dout.dtype == want_dout.dtype
+    acc = model.accuracy(logits, labels)
+    assert type(acc) is float and repr(acc) == repr(old_accuracy(logits, labels))
