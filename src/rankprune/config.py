@@ -185,10 +185,11 @@ class _Section:
 
     def check_error(self, keys, exc: ValueError):
         """A dataclass check's error, at the line of the key whose file key or
-        field name its message starts with (no line if none does)."""
+        field name its message starts with (no line if none does); the
+        message names the file key in place of the field."""
         word = str(exc).split(" ", 1)[0]
         key = next((k for k, path in keys if word in (k, path.rsplit(".", 1)[-1])), word)
-        return ConfigError(f"{self._where(key)}: [{self.name}] {exc}")
+        return ConfigError(f"{self._where(key)}: [{self.name}] {key}{str(exc)[len(word):]}")
 
     def check_unknown(self):
         extra = set(self.entries) - self.seen
@@ -302,12 +303,6 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
 
     tsec = _Section(path, "train", sections["train"])
     values = _read(tsec, TrainConfig, _TRAIN_KEYS)
-    # checked again by SparsitySchedule; here so that the error names the line
-    final_sparsity, shape = values["schedule"]["final_sparsity"], values["schedule"]["shape"]
-    if not 0.0 <= final_sparsity < 1.0:
-        raise tsec.error("final_sparsity", f"must lie in [0,1), got {final_sparsity}")
-    if shape not in ("cubic", "linear"):
-        raise tsec.error("sparsity_schedule", f"must be cubic or linear, got {shape!r}")
     try:
         train_cfg = _build(TrainConfig, values)
     except ValueError as exc:

@@ -65,7 +65,7 @@ class SparsitySchedule:
                 f"total_steps {self.total_steps} < prune_steps {self.prune_steps}"
             )
         if self.shape not in ("cubic", "linear"):
-            raise ValueError(f"unknown schedule shape {self.shape!r}")
+            raise ValueError(f"shape must be cubic or linear, got {self.shape!r}")
 
 
 @dataclass(frozen=True)
@@ -230,8 +230,8 @@ def update_masks(net, dense_grads, schedule: SparsitySchedule, grow: GrowSchedul
 
     dense_grads holds the combined-objective gradient of each layer's
     effective weight, defined at all positions. Mutates the network: new masks
-    are installed and stored weights at pruned positions are zeroed. Returns
-    the new masks.
+    are installed, stored weights at pruned positions are zeroed, and
+    net.touch() makes every earlier forward cache stale. Returns the new masks.
     """
     if t % schedule.update_interval != 0:
         raise ScheduleError(f"step {t} is not a multiple of {schedule.update_interval}")
@@ -247,6 +247,7 @@ def update_masks(net, dense_grads, schedule: SparsitySchedule, grow: GrowSchedul
     densities = global_density_split(effective, density, masks=[p.mask for p in layers])
     alpha = grow_fraction(grow, schedule, t)
     new_masks = []
+    net.touch()  # before the first write, so a layer that raises leaves no cache valid
     for p, e, grad, d in zip(layers, effective, dense_grads, densities):
         pruned = prune_layer(e, p.mask, (1.0 - alpha) * d)
         p.set_mask(pruned)  # zero stored values now so same-step regrowth restarts cold

@@ -185,13 +185,13 @@ def sgd_step(net: Network, grads, opt: OptimizerState, lr: float, momentum: floa
     net.touch()
 
 
-def average_delta_rank(net: Network, delta: float) -> float:
-    """Mean delta-rank of the effective weight matrices over all prunable layers."""
-    return _rank_metrics(net, None, delta)[1]
+def average_delta_rank(net: Network, delta: float, rank_cfg: RankLossConfig | None = None) -> tuple[float, float]:
+    """(mean delta-rank, summed rank loss) of the effective weight matrices
+    over all prunable layers, from one values-only SVD per layer.
 
-
-def _rank_metrics(net: Network, rank_cfg: RankLossConfig | None, delta: float) -> tuple[float, float]:
-    """(summed rank loss, mean delta-rank) from one values-only SVD per layer."""
+    The loss is 0.0 without rank_cfg; layers whose rank loss is undefined add
+    nothing to it.
+    """
     total = 0.0
     ranks = []
     for layer in net.layers:
@@ -199,7 +199,7 @@ def _rank_metrics(net: Network, rank_cfg: RankLossConfig | None, delta: float) -
         if loss is not None:
             total += loss
         ranks.append(drank)
-    return total, float(np.mean(ranks))
+    return float(np.mean(ranks)), total
 
 
 def _divergence(net: Network, cache, step: int, loss: float) -> DivergenceError:
@@ -295,7 +295,6 @@ def train(
             grads = combined_gradient(net, batch, cfg.rank_cfg)
             dense_grads = [dw for dw, _ in grads]
             sparsity.update_masks(net, dense_grads, sched, cfg.grow, step)
-            net.touch()
             opt.mask_pruned(net)
             sparsity_now = net.sparsity()
         else:
@@ -305,7 +304,7 @@ def train(
         rank_loss = avg_rank = eval_acc = None
         if update_step or step == sched.total_steps:
             _check_weight_norms(net, step)
-            rank_loss, avg_rank = _rank_metrics(net, cfg.rank_cfg, delta)
+            avg_rank, rank_loss = average_delta_rank(net, delta, cfg.rank_cfg)
             eval_acc = _evaluate(net, dataset.eval_x, dataset.eval_y, cfg.batch_size)
         metrics.append(
             MetricsRecord(

@@ -279,7 +279,7 @@ def _bench_run(key):
     net = model.build_network(TOY.model.input_shape, TOY.model.layers, TOY.model.num_classes, seed=seed)
     res = trainer.train(net, datasets.make_blobs(BENCH_DATASET), bench_config(s, lam, seed))
     slack = len(res.net.layers) / res.net.total_weights()
-    return trainer.average_delta_rank(res.net, 0.1), res.metrics[-1].eval_acc, res.net.sparsity(), slack
+    return trainer.average_delta_rank(res.net, 0.1)[0], res.metrics[-1].eval_acc, res.net.sparsity(), slack
 
 
 @pytest.fixture(scope="module")

@@ -148,7 +148,10 @@ def test_unknown_section_names_line():
          "bad.cfg:15: [train] prune_steps 200 must be a multiple of update_interval 30"),
         ("samples_per_class = 30", "samples_per_class = 0",
          "bad.cfg:9: [dataset] samples_per_class must be positive, got 0"),
-        ("seed = 7", "seed = 7\nclasses = 1", "bad.cfg:12: [dataset] num_classes must be >= 2, got 1"),
+        ("seed = 7", "seed = 7\nclasses = 1", "bad.cfg:12: [dataset] classes must be >= 2, got 1"),
+        ("final_sparsity = 0.9", "final_sparsity = 1.5", "bad.cfg:14: [train] final_sparsity must lie in [0,1), got 1.5"),
+        ("total_steps = 300\n", "total_steps = 300\nsparsity_schedule = spiral\n",
+         "bad.cfg:18: [train] sparsity_schedule must be cubic or linear, got 'spiral'"),
     ],
 )
 def test_non_finite_number_and_negative_seed_rejected(old, new, message):

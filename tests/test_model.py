@@ -163,16 +163,16 @@ class TestForward:
             model.forward(net, Batch(np.ones((2, 5)), np.array([0, 1])))
 
     def test_effective_weight_contract(self):
-        # zeroing a masked stored value never changes outputs
+        # a value written at a masked position never changes outputs
         rng = np.random.default_rng(4)
         net = model.build_network(6, [("dense", 5)], 3, seed=5)
         mask = (rng.random((5, 6)) < 0.5).astype(float)
         mask[0, 0] = 1.0
-        net.layers[0].params.mask = mask  # bypass set_mask's zeroing on purpose
+        net.layers[0].params.mask = mask
         x = rng.normal(size=(3, 6))
         batch = Batch(x, np.array([0, 1, 2]))
         before, _ = model.forward(net, batch)
-        net.layers[0].params.weight = net.layers[0].params.weight * mask
+        net.layers[0].params.weight = net.layers[0].params.weight + (1.0 - mask) * rng.normal(size=mask.shape)
         net.touch()
         after, _ = model.forward(net, batch)
         np.testing.assert_array_equal(before, after)

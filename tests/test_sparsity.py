@@ -339,6 +339,16 @@ class TestUpdateMasks:
             for p, d in zip(net.prunable, dens):
                 assert p.active_count == sp.layer_budget(d, p.weight.size)
 
+    def test_backward_refuses_a_cache_from_before_the_update(self):
+        # update_masks writes the stored weights in place
+        net = toy_network(seed=3)
+        batch = model.Batch(np.ones((2, 6)), np.array([0, 1]))
+        _, cache = model.forward(net, batch)
+        grads = [np.ones_like(l.params.weight) for l in net.layers]
+        sp.update_masks(net, grads, schedule(final=0.5, prune=100, interval=10), GrowSchedule(0.3), 50)
+        with pytest.raises(model.InvalidStateError):
+            model.backward(net, cache, batch.labels)
+
     def test_wrong_step_raises(self):
         net = toy_network()
         sched = schedule(final=0.5, prune=100, interval=10)

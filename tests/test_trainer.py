@@ -185,21 +185,21 @@ class TestAverageDeltaRank:
             l.params.weight = np.outer(np.linspace(1, 2, out), np.linspace(1, 2, inp))
             l.params.mask = np.ones_like(l.params.weight)
         net.touch()
-        assert trainer.average_delta_rank(net, 0.1) == pytest.approx(1.0)
+        assert trainer.average_delta_rank(net, 0.1)[0] == pytest.approx(1.0)
 
     def test_all_zero_weights(self):
         net = small_net()
         for l in net.layers:
             l.params.weight[:] = 0.0
         net.touch()
-        assert trainer.average_delta_rank(net, 0.1) == 0.0
+        assert trainer.average_delta_rank(net, 0.1)[0] == 0.0
 
     def test_matches_direct_recomputation(self):
         net = small_net(seed=7)
         expected = np.mean(
             [rank.delta_rank(model.reshape_to_matrix(l), 0.2) for l in net.layers]
         )
-        assert trainer.average_delta_rank(net, 0.2) == pytest.approx(expected)
+        assert trainer.average_delta_rank(net, 0.2)[0] == pytest.approx(expected)
 
 
 def eval_net(kind):
@@ -372,6 +372,20 @@ class TestTrain:
             ranks.append(rank.delta_rank(w, 0.3))
         assert last.rank_loss == pytest.approx(sum(losses), abs=1e-12)
         assert last.avg_delta_rank == np.mean(ranks)
+
+    def test_average_delta_rank_runs_once_per_record_step(self, monkeypatch):
+        calls = []
+        real = trainer.average_delta_rank
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "average_delta_rank", counting)
+        res = trainer.train(small_net(), small_dataset(), small_config(prune=200, interval=50, total=260))
+        recorded = [m.step for m in res.metrics if m.avg_delta_rank is not None]
+        assert recorded == [50, 100, 150, 200, 250, 260]
+        assert len(calls) == len(recorded)
 
     def test_empty_dataset_rejected(self):
         data = small_dataset()
