@@ -261,11 +261,13 @@ def train(
     norm that overflows raises it at the next step that records rank metrics.
 
     A mask step drops its forward cache before combined_gradient runs its
-    own forward and backward, so no backward runs beside a second cache. A
-    plain step's cache lives until the next forward returns. Dropping it
-    right after its backward lowered the peak further, but left the top of
-    the heap free between steps; glibc returned that memory to the system
-    and the next forward faulted it back in (conv-s90 steps/s 278 -> 191).
+    own forward and backward, so no backward runs beside a second cache,
+    and a plain step drops its cache right after its backward, so no
+    forward runs beside the last step's. That leaves the top of the heap
+    free between steps. The CLI fixes glibc's malloc thresholds so that the
+    next forward reuses it; under glibc's defaults it goes back to the
+    system and is faulted back in, which cut conv-s90 from 278 to 191
+    steps/s. The bytes are the same either way.
     """
     sched = cfg.schedule
     opt = optimizer if optimizer is not None else OptimizerState.zeros_like(net)
@@ -299,6 +301,7 @@ def train(
             sparsity_now = net.sparsity()
         else:
             grads = backward(net, cache, batch.labels, dout)
+            del cache
         sgd_step(net, grads, opt, lr, cfg.momentum, cfg.weight_decay)
 
         rank_loss = avg_rank = eval_acc = None

@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 from xml.dom import minidom
 
@@ -13,8 +15,11 @@ import numpy as np
 import pytest
 from test_datasets import write_idx_pair
 
+import rankprune
 from rankprune import checkpoint as ckpt
+from rankprune import cli
 from rankprune.cli import main
+from rankprune.config import parse_config
 
 CONFIG = """\
 [model]
@@ -615,3 +620,121 @@ class TestCmdPlot:
         path.write_text("\n".join(text) + "\n")
         assert main(["plot", str(path), "--out", str(tmp_path / "charts")]) == 1
         assert ":3" in capsys.readouterr().err
+
+
+# Trains CONV_60 through main in a fresh process and prints the minor page
+# faults per step over steps 21-60, counted from step 21's batch draw to the
+# return of train.
+FAULTS_PER_STEP = """\
+import resource, sys
+from rankprune import cli, trainer
+
+def minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+faults, batch_indices, train = {}, trainer._batch_indices, trainer.train
+
+def counted_indices(seed, step, n, batch_size):
+    faults[step] = minflt()
+    return batch_indices(seed, step, n, batch_size)
+
+def counted_train(*args, **kwargs):
+    result = train(*args, **kwargs)
+    faults["end"] = minflt()
+    return result
+
+trainer._batch_indices, trainer.train = counted_indices, counted_train
+assert cli.main(["train", "--config", sys.argv[1]]) == 0
+print((faults["end"] - faults[21]) / 40)
+"""
+
+# the conv-s90 benchmark's net, data size and rates over 60 steps, with mask
+# steps at 20 and 40
+CONV_60 = """\
+[model]
+input = 1x12x12
+layers = conv:8x3x3, conv:16x3x3
+classes = 10
+
+[dataset]
+kind = idx
+images = {images}
+labels = {labels}
+
+[train]
+final_sparsity = 0.9
+prune_steps = 40
+update_interval = 20
+total_steps = 60
+learning_rate = 0.03
+weight_decay = 0.001
+batch_size = 32
+
+[report]
+out_dir = {out}
+"""
+
+
+class FakeLibc:
+    """Records the malloc tuning calls main makes."""
+
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append(("mallopt", param, value))
+        return 1
+
+    def malloc_trim(self, pad):
+        self.calls.append(("malloc_trim", pad))
+        return 1
+
+
+PINNED = [("mallopt", -3, 32 << 20), ("mallopt", -1, 32 << 20)]
+
+
+class TestSteadyHeap:
+    @pytest.mark.skipif(not hasattr(cli._libc(), "mallopt"), reason="the C library has no mallopt")
+    def test_conv_steps_reuse_the_heap(self, tmp_path):
+        # ~2 faults a step. With glibc's default thresholds the heap a step
+        # frees goes back to the system and is faulted back in: ~1400 a step,
+        # or ~95 where a plain step's cache is kept into the next forward
+        pixels = np.random.default_rng(0).integers(0, 256, (600, 12, 12), dtype=np.uint8)
+        images, labels = write_idx_pair(tmp_path, pixels, [i % 10 for i in range(600)])
+        cfg_path = tmp_path / "conv.cfg"
+        cfg_path.write_text(CONV_60.format(images=images, labels=labels, out=tmp_path / "run"))
+        env = dict(os.environ, PYTHONPATH=str(Path(rankprune.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP, str(cfg_path)],
+                             env=env, capture_output=True, text=True, check=True)
+        assert float(run.stdout.splitlines()[-1]) <= 5.0
+
+    def test_trim_follows_a_failed_command(self, tmp_path, capsys, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(cli, "_libc", lambda: libc)
+        seen = []
+
+        def failing(args):
+            seen.extend(libc.calls)
+            raise ValueError("bad input")
+
+        monkeypatch.setattr(cli, "cmd_analyze", failing)
+        assert main(["analyze", str(tmp_path / "x.bin")]) == 1
+        assert capsys.readouterr().err == "error: bad input\n"
+        assert seen == PINNED
+        assert libc.calls == PINNED + [("malloc_trim", 0)]
+
+    @pytest.mark.parametrize("libc", [None, object()], ids=["no C library", "no malloc tuning"])
+    def test_runs_without_malloc_tuning(self, capsys, trained, monkeypatch, libc):
+        _, checkpoint = trained
+        want = (main(["analyze", str(checkpoint)]), capsys.readouterr())
+        monkeypatch.setattr(cli, "_libc", lambda: libc)
+        assert (main(["analyze", str(checkpoint)]), capsys.readouterr()) == want
+
+    def test_each_sweep_run_pins_the_heap(self, tmp_path, monkeypatch):
+        # a spawned pool worker runs _sweep_one, not main
+        cfg_path, _ = write_config(tmp_path)
+        libc = FakeLibc()
+        monkeypatch.setattr(cli, "_libc", lambda: libc)
+        cli._sweep_one((parse_config(cfg_path), 0.0, tmp_path / "lambda_0"))
+        assert libc.calls == PINNED + [("malloc_trim", 0)]
+        assert (tmp_path / "lambda_0" / "metrics.csv").exists()
