@@ -8,8 +8,6 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import dataclasses
 import json
 import os
@@ -28,48 +26,6 @@ __all__ = ["main"]
 
 # the header of lambda_sweep.csv, which sweep-lambda writes and plot reads
 SWEEP_HEADER = "lambda,avg_delta_rank,eval_accuracy"
-
-# glibc's mallopt parameters, and the value both are fixed at: the ceiling of
-# glibc's own dynamic mmap threshold
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_HEAP_THRESHOLD = 32 << 20
-
-
-def _libc():
-    """The C library this process runs on, with the signatures of its malloc
-    tuning calls declared where it has them; None where ctypes cannot open it."""
-    try:
-        libc = ctypes.CDLL(None)
-    except (OSError, TypeError):
-        return None
-    for name, argtypes in (("mallopt", [ctypes.c_int, ctypes.c_int]), ("malloc_trim", [ctypes.c_size_t])):
-        call = getattr(libc, name, None)
-        if call is not None:
-            call.argtypes, call.restype = argtypes, ctypes.c_int
-    return libc
-
-
-@contextlib.contextmanager
-def _steady_heap():
-    """Keep the memory a training step frees for the next step, and hand it
-    back to the system when the block ends, however it ends.
-
-    glibc moves its mmap threshold with the sizes it frees and returns the
-    free top of the heap to the system, so a step's arrays would be unmapped
-    and faulted back in at every step. Both thresholds are fixed instead; a
-    C library without mallopt or malloc_trim runs as it is.
-    """
-    libc = _libc()
-    mallopt = getattr(libc, "mallopt", None)
-    if mallopt is not None:
-        mallopt(_M_MMAP_THRESHOLD, _HEAP_THRESHOLD)
-        mallopt(_M_TRIM_THRESHOLD, _HEAP_THRESHOLD)
-    try:
-        yield
-    finally:
-        trim = getattr(libc, "malloc_trim", None)
-        if trim is not None:
-            trim(0)
 
 
 def _build_dataset(cfg: ExperimentConfig) -> datasets.Dataset:
@@ -164,8 +120,7 @@ def _sweep_one(payload):
     cfg = dataclasses.replace(
         cfg, train=dataclasses.replace(cfg.train, rank_cfg=dataclasses.replace(cfg.train.rank_cfg, lam=lam))
     )
-    with _steady_heap():  # a spawned worker does not run main
-        summary = _run_single(cfg, out_dir)
+    summary = _run_single(cfg, out_dir)
     return lam, summary
 
 
@@ -372,12 +327,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    with _steady_heap():
-        try:
-            return args.func(args)
-        except (ValueError, OSError) as exc:  # every input error of this package is a ValueError
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # every input error of this package is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

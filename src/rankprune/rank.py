@@ -249,26 +249,18 @@ def delta_rank(w, delta: float, norm_floor: float = 1e-12) -> int:
 def rank_step_preview(w, k: int, gamma: float, norm_floor: float = 1e-12) -> np.ndarray:
     """One plain gradient step on the rank loss: w - gamma*rank_loss_gradient(w, k).
 
-    Computed in closed form from one SVD U Sigma V^T of W:
+    In closed form
     W' = U[(1 - c*gamma/||W||^3) Sigma + (2*gamma/||W||) SigmaBar_{[k+1:r]}] V^T
-    with SigmaBar the normalized singular values and c = sum(W . T) =
-    2 ||W|| sum_{i>k} SigmaBar_i^2: the step keeps both singular subspaces
-    while boosting the tail of the spectrum. It refuses what
-    rank_loss_gradient refuses: a norm at or below norm_floor, k outside
-    [1, r-1] and a tied spectrum at k.
+    with U Sigma V^T the SVD of W, SigmaBar the normalized singular values and
+    c = sum(W . T): the step keeps both singular subspaces while boosting the
+    tail of the spectrum.
     """
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     w = as_matrix(w)
     if gamma == 0.0:
         return w.copy()
-    norm = _normalized(w, norm_floor)[1]
-    f = svd(w)
-    tail = _padded(f.sigma / norm, w, k).sigma  # SigmaBar; _padded checks k
-    _check_gap(tail, k)
-    tail[:k] = 0.0  # SigmaBar_{[k+1:r]}
-    c = 2.0 * norm * float(np.sum(tail * tail))
-    return (f.u * ((1.0 - c * gamma / norm**3) * f.sigma + (2.0 * gamma / norm) * tail)) @ f.v.T
+    return w - gamma * rank_loss_gradient(w, k, norm_floor)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ having stopped.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import logging
 import math
 from dataclasses import dataclass, fields
@@ -243,6 +245,59 @@ def _evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray, batch_size: 
     return hits / len(labels)
 
 
+# glibc's mallopt parameters; the value both are fixed at while train runs,
+# the ceiling of glibc's own dynamic mmap threshold; and glibc's default trim
+# threshold, which holds again after train
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_THRESHOLD = 32 << 20
+_DEFAULT_TRIM_THRESHOLD = 128 << 10
+
+
+def _libc():
+    """The C library this process runs on, with the signatures of its malloc
+    tuning calls declared where it has them; None where ctypes cannot open it."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+    for name, argtypes in (("mallopt", [ctypes.c_int, ctypes.c_int]), ("malloc_trim", [ctypes.c_size_t])):
+        call = getattr(libc, name, None)
+        if call is not None:
+            call.argtypes, call.restype = argtypes, ctypes.c_int
+    return libc
+
+
+@contextlib.contextmanager
+def _steady_heap():
+    """Keep the memory a training step frees for the next step, and hand the
+    free heap back to the system when the block ends, however it ends.
+
+    glibc moves its mmap threshold with the sizes it frees and returns the
+    free top of the heap to the system, so a step's arrays would be unmapped
+    and faulted back in at every step. Both thresholds are fixed instead.
+    The mmap threshold stays fixed for the rest of the process, as glibc has
+    no way back to its moving one; the trim threshold goes back to glibc's
+    default when the block ends, so later work hands its free heap top
+    back as it would under glibc's defaults. The trim threshold is set only where the mmap threshold took:
+    set alone, it would freeze the mmap threshold at its 128 KiB start. A C
+    library without mallopt or malloc_trim runs as it is.
+    """
+    libc = _libc()
+    mallopt = getattr(libc, "mallopt", None)
+    pinned = mallopt is not None and mallopt(_M_MMAP_THRESHOLD, _HEAP_THRESHOLD) == 1
+    if pinned:
+        mallopt(_M_TRIM_THRESHOLD, _HEAP_THRESHOLD)
+    try:
+        yield
+    finally:
+        trim = getattr(libc, "malloc_trim", None)
+        if trim is not None:
+            trim(0)
+        if pinned:
+            mallopt(_M_TRIM_THRESHOLD, _DEFAULT_TRIM_THRESHOLD)
+
+
+@_steady_heap()
 def train(
     net: Network,
     dataset,
@@ -264,10 +319,11 @@ def train(
     own forward and backward, so no backward runs beside a second cache,
     and a plain step drops its cache right after its backward, so no
     forward runs beside the last step's. That leaves the top of the heap
-    free between steps. The CLI fixes glibc's malloc thresholds so that the
-    next forward reuses it; under glibc's defaults it goes back to the
+    free between steps, and train runs on _steady_heap so that the next
+    forward reuses it: under glibc's default thresholds it goes back to the
     system and is faulted back in, which cut conv-s90 from 278 to 191
-    steps/s. The bytes are the same either way.
+    steps/s. The mmap threshold stays fixed for the rest of the process;
+    the bytes are the same either way.
     """
     sched = cfg.schedule
     opt = optimizer if optimizer is not None else OptimizerState.zeros_like(net)

@@ -17,9 +17,8 @@ from test_datasets import write_idx_pair
 
 import rankprune
 from rankprune import checkpoint as ckpt
-from rankprune import cli
+from rankprune import trainer
 from rankprune.cli import main
-from rankprune.config import parse_config
 
 CONFIG = """\
 [model]
@@ -675,26 +674,8 @@ out_dir = {out}
 """
 
 
-class FakeLibc:
-    """Records the malloc tuning calls main makes."""
-
-    def __init__(self):
-        self.calls = []
-
-    def mallopt(self, param, value):
-        self.calls.append(("mallopt", param, value))
-        return 1
-
-    def malloc_trim(self, pad):
-        self.calls.append(("malloc_trim", pad))
-        return 1
-
-
-PINNED = [("mallopt", -3, 32 << 20), ("mallopt", -1, 32 << 20)]
-
-
 class TestSteadyHeap:
-    @pytest.mark.skipif(not hasattr(cli._libc(), "mallopt"), reason="the C library has no mallopt")
+    @pytest.mark.skipif(not hasattr(trainer._libc(), "mallopt"), reason="the C library has no mallopt")
     def test_conv_steps_reuse_the_heap(self, tmp_path):
         # ~2 faults a step. With glibc's default thresholds the heap a step
         # frees goes back to the system and is faulted back in: ~1400 a step,
@@ -707,34 +688,3 @@ class TestSteadyHeap:
         run = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP, str(cfg_path)],
                              env=env, capture_output=True, text=True, check=True)
         assert float(run.stdout.splitlines()[-1]) <= 5.0
-
-    def test_trim_follows_a_failed_command(self, tmp_path, capsys, monkeypatch):
-        libc = FakeLibc()
-        monkeypatch.setattr(cli, "_libc", lambda: libc)
-        seen = []
-
-        def failing(args):
-            seen.extend(libc.calls)
-            raise ValueError("bad input")
-
-        monkeypatch.setattr(cli, "cmd_analyze", failing)
-        assert main(["analyze", str(tmp_path / "x.bin")]) == 1
-        assert capsys.readouterr().err == "error: bad input\n"
-        assert seen == PINNED
-        assert libc.calls == PINNED + [("malloc_trim", 0)]
-
-    @pytest.mark.parametrize("libc", [None, object()], ids=["no C library", "no malloc tuning"])
-    def test_runs_without_malloc_tuning(self, capsys, trained, monkeypatch, libc):
-        _, checkpoint = trained
-        want = (main(["analyze", str(checkpoint)]), capsys.readouterr())
-        monkeypatch.setattr(cli, "_libc", lambda: libc)
-        assert (main(["analyze", str(checkpoint)]), capsys.readouterr()) == want
-
-    def test_each_sweep_run_pins_the_heap(self, tmp_path, monkeypatch):
-        # a spawned pool worker runs _sweep_one, not main
-        cfg_path, _ = write_config(tmp_path)
-        libc = FakeLibc()
-        monkeypatch.setattr(cli, "_libc", lambda: libc)
-        cli._sweep_one((parse_config(cfg_path), 0.0, tmp_path / "lambda_0"))
-        assert libc.calls == PINNED + [("malloc_trim", 0)]
-        assert (tmp_path / "lambda_0" / "metrics.csv").exists()

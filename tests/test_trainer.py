@@ -502,3 +502,54 @@ class TestTrain:
         fast = run("fast.bin")
         sort_reference.install(monkeypatch)
         assert run("sorted.bin") == fast
+
+
+class FakeLibc:
+    """Records the malloc tuning calls train makes; mallopt returns took."""
+
+    def __init__(self, took=1):
+        self.took, self.calls = took, []
+
+    def mallopt(self, param, value):
+        self.calls.append(("mallopt", param, value))
+        return self.took
+
+    def malloc_trim(self, pad):
+        self.calls.append(("malloc_trim", pad))
+        return 1
+
+
+PINNED = [("mallopt", -3, 32 << 20), ("mallopt", -1, 32 << 20)]
+RELEASED = [("malloc_trim", 0), ("mallopt", -1, 128 << 10)]
+
+
+class TestSteadyHeap:
+    def test_pins_before_the_steps_and_trims_after_a_failed_run(self, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(trainer, "_libc", lambda: libc)
+        seen = []
+
+        def failing(seed, step, n, batch_size):
+            seen.extend(libc.calls)
+            raise ValueError("bad batch")
+
+        monkeypatch.setattr(trainer, "_batch_indices", failing)
+        with pytest.raises(ValueError, match="bad batch"):
+            trainer.train(small_net(), small_dataset(), small_config())
+        assert seen == PINNED
+        assert libc.calls == PINNED + RELEASED
+
+    def test_trim_threshold_set_only_where_the_mmap_threshold_took(self, monkeypatch):
+        # a trim threshold alone, set or restored, would freeze glibc's mmap
+        # threshold at 128 KiB
+        libc = FakeLibc(took=0)
+        monkeypatch.setattr(trainer, "_libc", lambda: libc)
+        trainer.train(small_net(), small_dataset(), small_config(total=50, prune=50))
+        assert libc.calls == [PINNED[0], ("malloc_trim", 0)]
+
+    @pytest.mark.parametrize("libc", [None, object()], ids=["no C library", "no malloc tuning"])
+    def test_runs_without_malloc_tuning(self, monkeypatch, libc):
+        cfg = small_config(total=100, prune=100)
+        want = [m.csv_row() for m in trainer.train(small_net(), small_dataset(), cfg).metrics]
+        monkeypatch.setattr(trainer, "_libc", lambda: libc)
+        assert [m.csv_row() for m in trainer.train(small_net(), small_dataset(), cfg).metrics] == want
