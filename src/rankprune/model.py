@@ -12,6 +12,12 @@ effective() returns the stored array without computing that product. A
 forward cache therefore holds the very arrays that sgd_step updates in place;
 backward refuses a cache from before the network's last touch().
 
+A cache feeds one backward, which empties it: walking down from the head,
+backward lets go of each layer's cached arrays once it has read them, so a
+conv layer's patch matrix is gone before its patch gradient, an array of the
+same size, is allocated, and a step peaks near its forward. A second
+backward on the same cache is refused.
+
 Each hidden layer's ReLU runs in place on its pre-activation, so a cached
 "pre" is that layer's activation "out", one array. backward's mask pre > 0.0
 reads the same bits either way: relu(p) > 0 holds exactly when p > 0, for
@@ -70,7 +76,8 @@ class ConfigurationError(ValueError):
 
 
 class InvalidStateError(RuntimeError):
-    """A backward pass was given a cache from an outdated forward."""
+    """A backward pass was given a cache from an outdated forward, or one that
+    an earlier backward already consumed."""
 
 
 class MaskedTensor:
@@ -357,35 +364,42 @@ def backward(net: Network, cache, labels, dout=None) -> list[tuple[np.ndarray, n
     computed from labels unless the caller already has it from loss_and_dout
     on the cache's logits. The input gradient of the first layer is not
     computed, since nothing reads it.
+
+    The cache is consumed: once dout is known, its step list is taken out of
+    it, and each layer's arrays are let go of as soon as they are read. A
+    second backward on it raises InvalidStateError.
     """
     if cache.get("net_id") != id(net) or cache.get("version") != net.version:
         raise InvalidStateError("cache is stale: parameters changed since forward")
-    steps = cache["steps"]
+    if "steps" not in cache:
+        raise InvalidStateError("cache was already consumed: a forward cache feeds one backward")
     if dout is None:
-        dout = loss_and_dout(steps[-1]["out"], labels)[1]
+        dout = loss_and_dout(cache["steps"][-1]["out"], labels)[1]
+    steps = cache.pop("steps")
 
     last = len(net.layers) - 1
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
     for idx in range(last, -1, -1):
-        step = steps[idx]
+        step = steps.pop()  # the layer's arrays go as they are read, the rest at the next pop
         if idx < last:
             dout *= step["pre"] > 0.0  # dout is this pass's own array below the logits
+        del step["pre"], step["out"]  # one array, read above
         e = step["e"]
         if e.ndim == 2:
-            dw = dout.T @ step["x"]
+            dw = dout.T @ step.pop("x")
             db = dout.sum(axis=0)
         else:
             o, c, kh, kw = e.shape
             dout = np.ascontiguousarray(dout).reshape(o, -1)
-            dw = (dout @ step["cols"].T).reshape(o, c, kh, kw)
+            dw = (dout @ step.pop("cols").T).reshape(o, c, kh, kw)
             db = dout.sum(axis=1)
         grads[idx] = (dw, db)
         if idx == 0:
             break
         if e.ndim == 2:
             dout = dout @ e
-            if steps[idx - 1]["out"].ndim == 4:
-                c, b, h, w = steps[idx - 1]["out"].shape
+            if steps[-1]["out"].ndim == 4:
+                c, b, h, w = steps[-1]["out"].shape
                 dout = dout.reshape(b, c, h, w).swapaxes(0, 1)
         else:
             dout = _col2im(e.reshape(o, -1).T @ dout, step["x"].shape, kh, kw)

@@ -316,14 +316,15 @@ def train(
     norm that overflows raises it at the next step that records rank metrics.
 
     A mask step drops its forward cache before combined_gradient runs its
-    own forward and backward, so no backward runs beside a second cache,
-    and a plain step drops its cache right after its backward, so no
-    forward runs beside the last step's. That leaves the top of the heap
-    free between steps, and train runs on _steady_heap so that the next
-    forward reuses it: under glibc's default thresholds it goes back to the
-    system and is faulted back in, which cut conv-s90 from 278 to 191
-    steps/s. The mmap threshold stays fixed for the rest of the process;
-    the bytes are the same either way.
+    own forward and backward, so no backward runs beside a second cache; a
+    plain step's cache is emptied by its own backward; and every step drops
+    its gradients after sgd_step, so neither the eval nor the next forward
+    runs beside a finished step's cache or gradients. That leaves the top
+    of the heap free between steps, and train runs on _steady_heap so that
+    the next forward reuses it: under glibc's default thresholds it goes
+    back to the system and is faulted back in, which cut conv-s90 from 278
+    to 191 steps/s. The mmap threshold stays fixed for the rest of the
+    process; the bytes are the same either way.
     """
     sched = cfg.schedule
     opt = optimizer if optimizer is not None else OptimizerState.zeros_like(net)
@@ -351,14 +352,13 @@ def train(
         if mask_step:
             del cache  # combined_gradient runs its own forward and backward
             grads = combined_gradient(net, batch, cfg.rank_cfg)
-            dense_grads = [dw for dw, _ in grads]
-            sparsity.update_masks(net, dense_grads, sched, cfg.grow, step)
+            sparsity.update_masks(net, [dw for dw, _ in grads], sched, cfg.grow, step)
             opt.mask_pruned(net)
             sparsity_now = net.sparsity()
         else:
-            grads = backward(net, cache, batch.labels, dout)
-            del cache
+            grads = backward(net, cache, batch.labels, dout)  # which empties the cache
         sgd_step(net, grads, opt, lr, cfg.momentum, cfg.weight_decay)
+        del grads  # the eval and the next step run without them
 
         rank_loss = avg_rank = eval_acc = None
         if update_step or step == sched.total_steps:

@@ -142,6 +142,12 @@ class TestTruncate:
         with pytest.raises(ValueError):
             linalg.truncate(f, 4)
 
+    def test_k_must_be_an_integer(self):
+        f = linalg.svd(np.diag([3.0, 2.0, 1.0]))
+        with pytest.raises(ValueError, match="k=1.0 must be an integer"):
+            linalg.truncate(f, 1.0)
+        assert np.array_equal(linalg.truncate(f, np.int64(2)), linalg.truncate(f, 2))
+
 
 class TestLowRankError:
     def test_direct_sum(self):
@@ -170,6 +176,12 @@ class TestLowRankError:
             linalg.low_rank_error(f, -1)
         with pytest.raises(ValueError):
             linalg.low_rank_error(f, 3)
+
+    def test_k_must_be_an_integer(self):
+        f = linalg.svd(np.diag([3.0, 2.0, 1.0]))
+        with pytest.raises(ValueError, match="k=1.0 must be an integer"):
+            linalg.low_rank_error(f, 1.0)
+        assert linalg.low_rank_error(f, np.int32(1)) == linalg.low_rank_error(f, 1)
 
 
 def test_eckart_young_sampled():

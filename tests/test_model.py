@@ -295,10 +295,20 @@ class TestBackward:
         logits, cache = model.forward(net, batch)
         loss, dout = model.loss_and_dout(logits, batch.labels)
         assert loss == model.task_loss(logits, batch.labels)
-        for (dw, db), (tdw, tdb) in zip(model.backward(net, cache, batch.labels, dout),
-                                        model.backward(net, cache, batch.labels)):
+        passed = model.backward(net, cache, batch.labels, dout)
+        # a cache feeds one backward, so the second runs on a forward of its own
+        for (dw, db), (tdw, tdb) in zip(passed, model.backward(net, model.forward(net, batch)[1], batch.labels)):
             np.testing.assert_array_equal(dw, tdw)
             np.testing.assert_array_equal(db, tdb)
+
+    def test_backward_consumes_its_cache(self):
+        net = model.build_network((1, 4, 4), [("conv2d", 2, 3, 3), ("dense", 5)], 3, seed=21)
+        batch = Batch(np.random.default_rng(22).normal(size=(3, 1, 4, 4)), np.array([0, 1, 2]))
+        _, cache = model.forward(net, batch)
+        model.backward(net, cache, batch.labels)
+        assert not any(isinstance(v, (np.ndarray, list, dict)) for v in cache.values())
+        with pytest.raises(InvalidStateError, match="cache was already consumed"):
+            model.backward(net, cache, batch.labels)
 
     def test_stale_cache_rejected(self):
         net = model.build_network(3, [("dense", 4)], 2, seed=14)
@@ -398,16 +408,18 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("input_shape,convs,kernel,batch", REFERENCE_CASES)
     def test_backward_leaves_cache_unchanged(self, input_shape, convs, kernel, batch):
-        # _col2im zeroes strips of the patch gradient in place, never of a cached array
+        # _col2im zeroes strips of the patch gradient in place, never of a cached
+        # array; backward lets go of the cache, so the test holds each array itself
         net, batch_ = reference_case(input_shape, convs, kernel, batch)
         _, cache = model.forward(net, batch_)
-        before = [{k: v.copy() for k, v in step.items()} for step in cache["steps"]]
+        held = [dict(step) for step in cache["steps"]]
+        assert len(held) == len(net.layers)
+        before = [{k: v.copy() for k, v in step.items()} for step in held]
         model.backward(net, cache, batch_.labels)
-        for step, saved in zip(cache["steps"], before):
+        for step, saved in zip(held, before):
             assert step.keys() == saved.keys()
-            for k in ("x", "cols", "pre", "out", "e"):
-                if k in step:
-                    assert same_bits(step[k], saved[k]), k
+            for k in step:
+                assert same_bits(step[k], saved[k]), k
 
 
 def same_bits(a, b):

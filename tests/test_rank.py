@@ -128,6 +128,12 @@ class TestRankLoss:
         with pytest.raises(ValueError):
             rank.rank_loss(w, 4)  # k must stay below r
 
+    def test_k_must_be_an_integer(self):
+        w = np.diag([3.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match="k=1.0 must be an integer"):
+            rank.rank_loss(w, 1.0)
+        assert rank.rank_loss(w, np.int64(1)) == rank.rank_loss(w, 1)
+
 
 class TestRankLossGradient:
     def test_zero_tail_zero_gradient(self):
@@ -162,6 +168,12 @@ class TestRankLossGradient:
     def test_degenerate_boundary(self):
         with pytest.raises(DegenerateSpectrumError):
             rank.rank_loss_gradient(np.eye(3), 1)
+
+    def test_k_must_be_an_integer(self):
+        w = np.diag([3.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match="k=1.0 must be an integer"):
+            rank.rank_loss_gradient(w, 1.0)
+        assert np.array_equal(rank.rank_loss_gradient(w, np.int64(1)), rank.rank_loss_gradient(w, 1))
 
 
 class TestDeltaRank:
@@ -227,6 +239,12 @@ class TestRankStepPreview:
     def test_zero_step_identity(self):
         w = np.random.default_rng(12).normal(size=(5, 5))
         np.testing.assert_allclose(rank.rank_step_preview(w, 2, 0.0), w, atol=1e-12)
+
+    def test_k_must_be_an_integer(self):
+        w = np.diag([3.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match="k=1.0 must be an integer"):
+            rank.rank_step_preview(w, 1.0, 0.1)
+        assert np.array_equal(rank.rank_step_preview(w, np.int64(1), 0.1), rank.rank_step_preview(w, 1, 0.1))
 
     def test_matches_generic_step(self):
         w = nondegenerate_matrix(np.random.default_rng(13), (5, 5), 2)
