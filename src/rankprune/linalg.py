@@ -81,7 +81,8 @@ def svd(w, vectors: bool = True) -> SvdFactors:
 def truncate(f: SvdFactors, k: int) -> np.ndarray:
     """Best rank-k approximation: sum of the top-k singular triplets."""
     r = f.rank_bound
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= r):
+    is_int = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+    if not (is_int and 1 <= k <= r):
         raise ValueError(f"truncation rank k={k} must be an integer in [1, {r}]")
     return (f.u[:, :k] * f.sigma[:k]) @ f.v[:, :k].T
 
@@ -93,7 +94,8 @@ def low_rank_error(f: SvdFactors, k: int) -> float:
     to the zero matrix) up to r (which gives 0).
     """
     r = f.rank_bound
-    if not (isinstance(k, (int, np.integer)) and 0 <= k <= r):
+    is_int = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+    if not (is_int and 0 <= k <= r):
         raise ValueError(f"rank k={k} must be an integer in [0, {r}]")
     tail = f.sigma[k:]
     return float(np.sqrt(np.sum(tail * tail)))

@@ -116,9 +116,10 @@ def _live_block(w, norm_floor: float):
 
 def _padded(sigma, w: np.ndarray, k: int | None) -> SvdFactors:
     """Values-only factors of sigma and zeros up to r = min(m, n); a given k
-    must be an integer below r."""
+    must be an integer (not a bool) below r."""
     r = min(w.shape)
-    if k is not None and not (isinstance(k, (int, np.integer)) and 1 <= k < r):
+    is_int = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+    if k is not None and not (is_int and 1 <= k < r):
         raise ValueError(f"k={k} must be an integer in [1, {r - 1}]")
     return SvdFactors(u=None, sigma=np.concatenate([sigma, np.zeros(r - len(sigma))]), v=None)
 

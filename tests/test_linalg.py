@@ -146,6 +146,8 @@ class TestTruncate:
         f = linalg.svd(np.diag([3.0, 2.0, 1.0]))
         with pytest.raises(ValueError, match="k=1.0 must be an integer"):
             linalg.truncate(f, 1.0)
+        with pytest.raises(ValueError, match="k=True must be an integer"):
+            linalg.truncate(f, True)
         assert np.array_equal(linalg.truncate(f, np.int64(2)), linalg.truncate(f, 2))
 
 
@@ -181,6 +183,8 @@ class TestLowRankError:
         f = linalg.svd(np.diag([3.0, 2.0, 1.0]))
         with pytest.raises(ValueError, match="k=1.0 must be an integer"):
             linalg.low_rank_error(f, 1.0)
+        with pytest.raises(ValueError, match="k=False must be an integer"):
+            linalg.low_rank_error(f, False)
         assert linalg.low_rank_error(f, np.int32(1)) == linalg.low_rank_error(f, 1)
 
 

@@ -558,11 +558,13 @@ class TestStoredWeightIsEffective:
         net = model.build_network(*STORED_ARCH, seed=4)
         batch = Batch(np.random.default_rng(5).normal(size=(2, 1, 4, 4)), np.array([0, 2]))
         _, cache = model.forward(net, batch)
-        assert all(step["e"] is l.params.weight for step, l in zip(cache["steps"], net.layers))
+        # a second cache that no backward consumes, so only staleness can refuse it
+        _, kept = model.forward(net, batch)
+        assert all(step["e"] is l.params.weight for step, l in zip(kept["steps"], net.layers))
         grads = model.backward(net, cache, batch.labels)
         trainer.sgd_step(net, grads, trainer.OptimizerState.zeros_like(net), 0.1, 0.9, 0.0)
-        with pytest.raises(InvalidStateError):
-            model.backward(net, cache, batch.labels)
+        with pytest.raises(InvalidStateError, match="stale"):
+            model.backward(net, kept, batch.labels)
 
 
 def old_loss_and_dout(logits, labels):

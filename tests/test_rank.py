@@ -132,6 +132,8 @@ class TestRankLoss:
         w = np.diag([3.0, 2.0, 1.0])
         with pytest.raises(ValueError, match="k=1.0 must be an integer"):
             rank.rank_loss(w, 1.0)
+        with pytest.raises(ValueError, match="k=True must be an integer"):
+            rank.rank_loss(w, True)
         assert rank.rank_loss(w, np.int64(1)) == rank.rank_loss(w, 1)
 
 
