@@ -21,8 +21,12 @@ __all__ = [
 
 
 def as_matrix(values) -> np.ndarray:
-    """Validate and return a 2-D float64 matrix with finite entries."""
-    w = np.asarray(values, dtype=np.float64)
+    """Validate and return a C-contiguous 2-D float64 matrix with finite entries.
+
+    C order makes every result a function of the values alone: a reduction
+    or product over another layout may add in another order.
+    """
+    w = np.asarray(values, dtype=np.float64, order="C")
     if w.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {w.shape}")
     if w.shape[0] < 1 or w.shape[1] < 1:

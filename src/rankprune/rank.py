@@ -104,24 +104,32 @@ def normalize(w, norm_floor: float = 1e-12) -> np.ndarray:
 def _live_block(w, norm_floor: float):
     """(w as a matrix, ||w||, w/||w||, live rows, live columns, live block of w/||w||).
 
-    A row or column is live when it holds a nonzero of w/||w||.
+    A row or column is live when it holds a nonzero of w/||w||. With no dead
+    row or column the live block is w/||w|| itself, not a copy.
     """
     w = as_matrix(w)
     wbar, norm = _normalized(w, norm_floor)
     nonzero = wbar != 0.0
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
-    return w, norm, wbar, rows, cols, wbar.take(rows, axis=0).take(cols, axis=1)
+    block = wbar if (len(rows), len(cols)) == w.shape else wbar[np.ix_(rows, cols)]
+    return w, norm, wbar, rows, cols, block
+
+
+def _check_k(k, w: np.ndarray) -> None:
+    """Raise unless k is an integer (not a bool) in [1, min(m, n) - 1]."""
+    r = min(w.shape)
+    is_int = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+    if not (is_int and 1 <= k < r):
+        raise ValueError(f"k={k} must be an integer in [1, {r - 1}]")
 
 
 def _padded(sigma, w: np.ndarray, k: int | None) -> SvdFactors:
     """Values-only factors of sigma and zeros up to r = min(m, n); a given k
-    must be an integer (not a bool) below r."""
-    r = min(w.shape)
-    is_int = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-    if k is not None and not (is_int and 1 <= k < r):
-        raise ValueError(f"k={k} must be an integer in [1, {r - 1}]")
-    return SvdFactors(u=None, sigma=np.concatenate([sigma, np.zeros(r - len(sigma))]), v=None)
+    must pass _check_k."""
+    if k is not None:
+        _check_k(k, w)
+    return SvdFactors(u=None, sigma=np.concatenate([sigma, np.zeros(min(w.shape) - len(sigma))]), v=None)
 
 
 def _spectrum(w, norm_floor: float, k: int | None = None):
@@ -139,17 +147,17 @@ def _gram(w, norm_floor: float, k: int | None = None):
 
     The eigh is of B B^T when the live block B has no more rows than columns
     (left), else of B^T B; the spectrum is sqrt(max(lambda, 0)), descending
-    and padded as in _spectrum. fit is (w/||w||, Q, left), with Q the
+    and padded as in _spectrum. fit is (||w||, w/||w||, Q, left), with Q the
     eigenbasis in ascending eigenvalue order, its rows placed at the live
     rows (left) or columns of w and zero at the dead ones.
     """
-    w, _, wbar, rows, cols, b = _live_block(w, norm_floor)
+    w, norm, wbar, rows, cols, b = _live_block(w, norm_floor)
     left = b.shape[0] <= b.shape[1]
     lam, q = np.linalg.eigh(b @ b.T if left else b.T @ b)
     basis = np.zeros((w.shape[0] if left else w.shape[1], q.shape[1]))
     basis[rows if left else cols] = q
     f = _padded(np.sqrt(np.maximum(lam[::-1], 0.0)), w, k)
-    return w, f, min(b.shape), (wbar, basis, left)
+    return w, f, min(b.shape), (norm, wbar, basis, left)
 
 
 def select_k(sigma_normalized, target_error: float) -> int:
@@ -201,19 +209,22 @@ def _gradient(w: np.ndarray, f: SvdFactors, fit, k: int) -> np.ndarray:
     rank-k fit Wbar_k = Q_k Q_k^T Wbar (or Wbar Q_k Q_k^T), with Q_k the top-k
     eigenbasis of _gram. T is zero on dead rows and columns, and the
     projector Q_k Q_k^T does not depend on the signs Q_k comes with.
+
+    Overwrites the fit's Wbar, which _live_block may also have handed out as
+    the live block.
     """
     _check_gap(f.sigma, k)
-    wbar, q, left = fit
+    norm, wbar, q, left = fit
     qk = q[:, -k:]
-    # One buffer turns from Wbar_k into T into G: each full-size temporary
-    # left to the allocator measurably raised peak RSS.
+    # One buffer turns from Wbar_k into T into G, and once T exists the two
+    # full-size products W . T and W * c/||W||^3 go into Wbar's: each
+    # full-size temporary left to the allocator measurably raised peak RSS.
     g = qk @ (qk.T @ wbar) if left else (wbar @ qk) @ qk.T
     np.subtract(wbar, g, out=g)
     g *= 2.0
-    norm = frobenius_norm(w)
-    c = float(np.sum(w * g))
+    c = float(np.sum(np.multiply(w, g, out=wbar)))
     g /= -norm
-    g += w * (c / norm**3)
+    g += np.multiply(w, c / norm**3, out=wbar)
     return g
 
 
@@ -260,6 +271,7 @@ def rank_step_preview(w, k: int, gamma: float, norm_floor: float = 1e-12) -> np.
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     w = as_matrix(w)
+    _check_k(k, w)  # before the gamma = 0 shortcut, which looks at no k
     if gamma == 0.0:
         return w.copy()
     return w - gamma * rank_loss_gradient(w, k, norm_floor)

@@ -7,7 +7,8 @@ then per layer prunes the smallest active weights down to (1 - alpha_t) of the
 layer budget and regrows back up to the budget at the positions with the
 largest gradient magnitude. Each of these steps needs only the set of kept
 positions, never their order, so a partial-sort top-k selection with fixed
-tie rules (_top_k) does the work of a full stable sort.
+tie rules (_top_k) does the work of a full stable sort. It returns a boolean
+keep-mask over its keys in place of index arrays.
 Regrown weights start at zero so the loss is untouched at the instant of
 growth.
 
@@ -107,32 +108,30 @@ def layer_budget(density: float, size: int) -> int:
 
 
 def _top_k(keys: np.ndarray, k: int, tiebreak: np.ndarray | None = None) -> np.ndarray:
-    """Flat indices of the k entries a stable descending sort of keys puts first.
+    """Boolean mask, the length of keys, of the k entries a stable descending
+    sort of keys puts first.
 
     Ties at the cut go to the larger tiebreak value (when given), then to the
     smaller index, and NaN ranks below every number: the same set as
     ``np.argsort(-keys, kind="stable")[:k]``, or as ``np.lexsort((-tiebreak,
     -keys))[:k]`` with a tiebreak, found with one partition instead of a sort.
-    The indices come back unordered. keys must not hold -inf.
+    keys must not hold -inf.
     """
     n = keys.shape[0]
-    if k >= n:
-        return np.arange(n)
-    if k <= 0:
-        return np.zeros(0, dtype=np.intp)
+    if k >= n or k <= 0:
+        return np.full(n, k > 0)
     cut = np.partition(keys, n - k)
     if np.isnan(cut[-1]):  # partition sorts NaN last, i.e. as the largest
         keys = np.where(np.isnan(keys), -np.inf, keys)
         cut = np.partition(keys, n - k)
     threshold = cut[n - k]
-    above = np.flatnonzero(keys > threshold)
+    keep = keys > threshold
     tied = np.flatnonzero(keys == threshold)
-    need = k - above.shape[0]
-    if tiebreak is None:
-        chosen = tied[:need]
-    else:
-        chosen = tied[_top_k(tiebreak[tied], need)]
-    return np.concatenate([above, chosen])
+    need = k - int(np.count_nonzero(keep))
+    if tiebreak is not None:
+        tied = tied[_top_k(tiebreak[tied], need)]
+    keep[tied[:need]] = True
+    return keep
 
 
 def global_density_split(weights, density: float, masks=None) -> list[float]:
@@ -152,14 +151,18 @@ def global_density_split(weights, density: float, masks=None) -> list[float]:
     active = None
     if masks is not None:
         active = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in masks])
-    keep = np.zeros(total, dtype=bool)
     # a zero or NaN magnitude ranks below every positive one, so when the
     # positives fill the budget only they need a partition: at high sparsity
-    # most magnitudes are exact zeros, on which np.partition is slow
-    live = np.flatnonzero(mags > 0.0)
-    if budget > live.shape[0]:
-        live = np.arange(total)
-    keep[live[_top_k(mags[live], budget, None if active is None else active[live])]] = True
+    # most magnitudes are exact zeros, on which np.partition is slow. When
+    # every magnitude is live, or the budget reaches past the live ones, the
+    # selection runs on mags itself, with no index or gathered copy
+    live = mags > 0.0
+    if budget <= np.count_nonzero(live) < total:
+        live = np.flatnonzero(live)
+        keep = np.zeros(total, dtype=bool)
+        keep[live[_top_k(mags[live], budget, None if active is None else active[live])]] = True
+    else:
+        keep = _top_k(mags, budget, active)
 
     densities = []
     start = 0

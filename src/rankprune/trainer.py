@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import logging
 import math
 from dataclasses import dataclass, fields
 from typing import ClassVar
@@ -28,8 +27,6 @@ from .linalg import frobenius_norm
 from .model import Batch, Network, accuracy, backward, forward, loss_and_dout
 from .rank import DegenerateSpectrumError, DegenerateWeightError, RankLossConfig
 from .sparsity import GrowSchedule, ScheduleError, SparsitySchedule
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "DivergenceError",
@@ -100,7 +97,7 @@ class OptimizerState:
             buf *= layer.params.mask
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricsRecord:
     """One metrics.csv row.
 
@@ -144,10 +141,12 @@ def _batch_indices(seed: int, step: int, n: int, batch_size: int) -> np.ndarray:
 def combined_gradient(net: Network, batch: Batch, rank_cfg: RankLossConfig):
     """Dense gradients of task loss + lambda * sum of layer rank losses.
 
-    Returns a list of (dweight, dbias) per layer, with the rank term mapped
-    back through the conv reshape.
+    Returns a list of (dweight, dbias) per layer, with lambda times the rank
+    term added into the task's dweight in place, mapped back through the conv
+    reshape.
     Layers whose weight is degenerate (near-zero norm, tied spectrum at the
-    truncation boundary, or rank bound 1) contribute task gradient only.
+    truncation boundary, or rank bound 1) contribute task gradient only, and
+    are logged on this module's logger; logging is imported only then.
     """
     grads = backward(net, forward(net, batch)[1], batch.labels)  # the cache goes before the rank terms
     lam = rank_cfg.lam
@@ -157,10 +156,12 @@ def combined_gradient(net: Network, batch: Batch, rank_cfg: RankLossConfig):
         try:
             term = rank.layer_rank_term(model.reshape_to_matrix(layer), rank_cfg)
         except (DegenerateWeightError, DegenerateSpectrumError) as exc:
-            logger.info("rank term skipped for %s: %s", layer.name, exc)
+            import logging
+
+            logging.getLogger(__name__).info("rank term skipped for %s: %s", layer.name, exc)
             continue
-        dw, db = grads[idx]
-        grads[idx] = (dw + lam * term.gradient.reshape(dw.shape), db)
+        dw = grads[idx][0]
+        dw += lam * term.gradient.reshape(dw.shape)
     return grads
 
 

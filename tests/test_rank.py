@@ -1,5 +1,7 @@
 """Rank loss, its analytic gradient, delta-rank, and the closed-form step."""
 
+import re
+
 import numpy as np
 import pytest
 import rank_step_reference
@@ -248,6 +250,15 @@ class TestRankStepPreview:
             rank.rank_step_preview(w, 1.0, 0.1)
         assert np.array_equal(rank.rank_step_preview(w, np.int64(1), 0.1), rank.rank_step_preview(w, 1, 0.1))
 
+    def test_gamma_zero_checks_k(self):
+        # k is checked before the gamma = 0 shortcut, as with any gamma
+        w = np.diag([3.0, 2.0, 1.0])
+        for k in (1.5, 99, True):
+            with pytest.raises(ValueError, match=re.escape(f"k={k} must be an integer in [1, 2]")):
+                rank.rank_step_preview(w, k, 0.0)
+        got = rank.rank_step_preview(w, 2, 0.0)
+        assert np.array_equal(got, w) and not np.shares_memory(got, w)
+
     def test_matches_generic_step(self):
         w = nondegenerate_matrix(np.random.default_rng(13), (5, 5), 2)
         got = rank.rank_step_preview(w, 2, 1e-3)
@@ -381,6 +392,21 @@ def test_gram_gradient_matches_svd_tail(dead):
         assert term.k == want_k
         np.testing.assert_allclose(term.gradient, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
         np.testing.assert_allclose(rank.rank_loss_gradient(w, k), want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("dead", [(0, 0), (3, 2)])
+def test_layout_does_not_move_a_bit(dead):
+    # the same values in Fortran order or as a transposed view give the bits
+    # of their C-order copy, with or without a dead row or column
+    rng = np.random.default_rng(23)
+    cfg = RankLossConfig()
+    for _ in range(20):
+        w = _with_dead_lines(rng, rng.normal(size=(int(rng.integers(3, 20)), int(rng.integers(3, 20)))), *dead)
+        for x in (np.asfortranarray(w), w.T):
+            c = np.ascontiguousarray(x)
+            assert rank.layer_rank_term(x, cfg).gradient.tobytes() == rank.layer_rank_term(c, cfg).gradient.tobytes()
+            assert rank.rank_step_preview(x, 1, 0.01).tobytes() == rank.rank_step_preview(c, 1, 0.01).tobytes()
+            assert rank.layer_spectrum(x, 0.1)[0].tobytes() == rank.layer_spectrum(c, 0.1)[0].tobytes()
 
 
 @pytest.mark.parametrize("shape, live", [((5, 6), "row"), ((6, 5), "row"), ((5, 6), "col"), ((1, 5), "row")])

@@ -242,6 +242,15 @@ class TestSelectionMatchesFullSort:
                 got = sp.grow_layer(g, mask, budget / n)
                 np.testing.assert_array_equal(got, ref.grow_layer(g, mask, budget / n))
 
+    @pytest.mark.parametrize("k", [-1, 0, 1, 3, 5, 6, 7])
+    def test_top_k_is_a_keep_mask(self, k):
+        keys = np.array([2.0, np.nan, 1.0, 2.0, 0.0, 1.0])
+        want = np.zeros(6, dtype=bool)
+        want[np.argsort(-keys, kind="stable")[: max(k, 0)]] = True  # NaN sorts last
+        got = sp._top_k(keys, k)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, want)
+
     def test_all_equal_keys_keep_smallest_indices(self):
         mask = np.ones(6)
         np.testing.assert_array_equal(sp.prune_layer(np.zeros(6), mask, 0.5), [1, 1, 1, 0, 0, 0])

@@ -1,15 +1,21 @@
 """Combined objective, SGD, and the two-stage training loop."""
 
 import dataclasses
+import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sort_reference
 
+import rankprune
 from rankprune import checkpoint as ckpt
-from rankprune import datasets, model, rank, sparsity as sp, trainer
+from rankprune import config, datasets, model, rank, sparsity as sp, trainer
 from rankprune.model import Batch
 from rankprune.rank import RankLossConfig
 from rankprune.sparsity import GrowSchedule, ScheduleError, SparsitySchedule
@@ -111,6 +117,16 @@ class TestCombinedGradient:
                 pos = np.unravel_index(fp, dw.shape)
                 fd = (objective(li, pos, eps) - objective(li, pos, -eps)) / (2 * eps)
                 assert fd == pytest.approx(dw[pos], rel=1e-4, abs=1e-8)
+
+    def test_skipped_layer_is_logged(self, caplog):
+        net = small_net()
+        net.layers[0].params.set_mask(np.zeros_like(net.layers[0].params.mask))  # its weight falls to 0
+        data = small_dataset()
+        with caplog.at_level(logging.INFO, logger="rankprune.trainer"):
+            trainer.combined_gradient(net, Batch(data.train_x[:8], data.train_y[:8]), RankLossConfig(lam=0.1))
+        skipped = [r.getMessage() for r in caplog.records if r.name == "rankprune.trainer"]
+        assert len(skipped) == 1
+        assert skipped[0].startswith(f"rank term skipped for {net.layers[0].name}: Frobenius norm 0.0")
 
     def test_degenerate_layer_contributes_task_only(self):
         net = small_net()
@@ -227,6 +243,28 @@ def conv_s90_case():
     return net, x, y, batch, step
 
 
+TOY_CFG = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
+
+
+def toy_mask_step_case():
+    """The toy benchmark's net, batch and schedule at its first mask step
+    (step 100, every weight nonzero), and one plain step (forward, loss,
+    backward and sgd_step), already run once."""
+    cfg = config.parse_config(TOY_CFG)
+    data = datasets.make_blobs(cfg.dataset)
+    net = model.build_network(cfg.model.input_shape, cfg.model.layers, cfg.model.num_classes, seed=0)
+    batch = Batch(data.train_x[: cfg.train.batch_size], data.train_y[: cfg.train.batch_size])
+    opt = OptimizerState.zeros_like(net)
+
+    def step():
+        logits, cache = model.forward(net, batch)
+        _, dout = model.loss_and_dout(logits, batch.labels)
+        trainer.sgd_step(net, model.backward(net, cache, batch.labels, dout), opt, 0.03, 0.9, 0.0)
+
+    step()
+    return net, batch, cfg.train, step
+
+
 def traced_peak(run) -> int:
     """Peak bytes tracemalloc sees allocated during run(), numpy buffers included."""
     tracemalloc.start()
@@ -307,6 +345,37 @@ class TestTrain:
         data = datasets.Dataset(x, y, x[:40], y[:40])
         cfg = small_config(final_sparsity=0.5, prune=4, interval=2, total=6, batch_size=32)
         assert traced_peak(lambda: trainer.train(net, data, cfg)) <= 1.15 * traced_peak(step)
+
+    def test_mask_update_peak_memory_near_a_plain_step(self):
+        # the selection runs on the concatenated magnitudes themselves and
+        # returns a boolean keep-mask: ~1.7x. Index arrays of every kept
+        # position and a gathered copy of the magnitudes read ~3.97x
+        net, batch, cfg, step = toy_mask_step_case()
+        dws = [dw for dw, _ in trainer.combined_gradient(net, batch, cfg.rank_cfg)]
+        assert all(np.all(l.params.weight != 0.0) for l in net.layers)
+        peak = traced_peak(lambda: sp.update_masks(net, dws, cfg.schedule, cfg.grow, 100))
+        assert peak <= 2.5 * traced_peak(step)
+
+    def test_combined_gradient_peak_memory_near_a_plain_step(self):
+        # the rank term goes into the task gradient in place, and its
+        # gradient's full-size products into the normalized weight's buffer:
+        # ~1.75x. A new array for each reads ~2.11x
+        net, batch, cfg, step = toy_mask_step_case()
+        peak = traced_peak(lambda: trainer.combined_gradient(net, batch, cfg.rank_cfg))
+        assert peak <= 1.9 * traced_peak(step)
+
+    def test_run_without_skips_imports_no_logging(self, tmp_path):
+        # two mask steps, each with the rank term on every layer: logging is
+        # imported only to log a skipped layer
+        code = (
+            "import sys\n"
+            "from rankprune import cli\n"
+            f"assert cli.main(['train', '--config', {str(TOY_CFG)!r}, '--stop-after', '200', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('logging' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(rankprune.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.splitlines()[-1] == "False"
 
     def test_dense_schedule_keeps_masks_full(self):
         cfg = small_config(final_sparsity=0.0, prune=100, interval=50, total=150)
