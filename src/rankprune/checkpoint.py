@@ -113,11 +113,10 @@ def network_from(state: TrainState) -> Network:
     """
     layers = []
     while (weight := state.tensors.get(f"layer{len(layers)}.weight")) is not None:
-        name = f"layer{len(layers)}"
         if weight.ndim not in (2, 4) or weight.size == 0:
-            raise state.error(f"{name}.weight has shape {weight.shape}, not a nonempty 2-D (dense) or 4-D (conv2d) one")
+            raise state.error(f"layer{len(layers)}.weight has shape {weight.shape}, not a nonempty 2-D (dense) or 4-D (conv2d) one")
         params = MaskedTensor(np.zeros(weight.shape), np.ones(weight.shape))
-        layers.append(Layer(params, np.zeros(weight.shape[0]), name))
+        layers.append(Layer(params, np.zeros(weight.shape[0])))
     if not layers:
         raise state.error("no layer tensors found")
     net = Network(layers)

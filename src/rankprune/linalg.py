@@ -15,6 +15,7 @@ __all__ = [
     "as_matrix",
     "frobenius_norm",
     "svd",
+    "check_k",
     "truncate",
     "low_rank_error",
 ]
@@ -82,12 +83,15 @@ def svd(w, vectors: bool = True) -> SvdFactors:
     return SvdFactors(u=u, sigma=s, v=v)
 
 
+def check_k(k, lo: int, hi: int) -> None:
+    """Raise ValueError unless the rank k is an integer (not a bool) in [lo, hi]."""
+    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and lo <= k <= hi):
+        raise ValueError(f"k={k} must be an integer in [{lo}, {hi}]")
+
+
 def truncate(f: SvdFactors, k: int) -> np.ndarray:
     """Best rank-k approximation: sum of the top-k singular triplets."""
-    r = f.rank_bound
-    is_int = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-    if not (is_int and 1 <= k <= r):
-        raise ValueError(f"truncation rank k={k} must be an integer in [1, {r}]")
+    check_k(k, 1, f.rank_bound)
     return (f.u[:, :k] * f.sigma[:k]) @ f.v[:, :k].T
 
 
@@ -97,9 +101,6 @@ def low_rank_error(f: SvdFactors, k: int) -> float:
     Equals sqrt(sum of squared singular values past k); k may be 0 (distance
     to the zero matrix) up to r (which gives 0).
     """
-    r = f.rank_bound
-    is_int = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-    if not (is_int and 0 <= k <= r):
-        raise ValueError(f"rank k={k} must be an integer in [0, {r}]")
+    check_k(k, 0, f.rank_bound)
     tail = f.sigma[k:]
     return float(np.sqrt(np.sum(tail * tail)))

@@ -8,9 +8,14 @@ regrowth.
 
 The stored weight is the effective weight. MaskedTensor keeps it at +-0
 wherever the mask is 0, so weight * mask would equal it bit for bit, and
-effective() returns the stored array without computing that product. A
-forward cache therefore holds the very arrays that sgd_step updates in place;
-backward refuses a cache from before the network's last touch().
+effective() returns the stored array without computing that product.
+
+A forward cache holds, per layer, only what backward reads: its input "x",
+its pre-activation "pre" and, for a conv layer, its patch matrix "cols".
+backward reads the weights from the network itself, which sgd_step and
+update_masks update in place, so it refuses a cache from before the
+network's last touch(). It takes dout, the loss gradient with respect to
+the logits, from loss_and_dout, the one loss entry point.
 
 A cache feeds one backward, which empties it: walking down from the head,
 backward lets go of each layer's cached arrays once it has read them, so a
@@ -19,9 +24,9 @@ same size, is allocated, and a step peaks near its forward. A second
 backward on the same cache is refused.
 
 Each hidden layer's ReLU runs in place on its pre-activation, so a cached
-"pre" is that layer's activation "out", one array. backward's mask pre > 0.0
-reads the same bits either way: relu(p) > 0 holds exactly when p > 0, for
--0.0 and NaN too.
+"pre" is also that layer's activation, the next layer's "x" unless a flatten
+copies it. backward's mask pre > 0.0 reads the same bits either way:
+relu(p) > 0 holds exactly when p > 0, for -0.0 and NaN too.
 
 Convolutions are stride 1, zero-padded to keep spatial size, and lowered to
 one GEMM each (im2col; Chellapilla et al. 2006). Between conv layers the
@@ -50,7 +55,7 @@ was: each running sum starts at +0.0 and so is never -0.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,7 +68,6 @@ __all__ = [
     "Batch",
     "reshape_to_matrix",
     "forward",
-    "task_loss",
     "loss_and_dout",
     "accuracy",
     "backward",
@@ -127,11 +131,12 @@ class MaskedTensor:
 @dataclass
 class Layer:
     """One prunable layer, dense if its weight is (out, in) and conv2d if it is
-    (out, in, kh, kw). ReLU follows every layer of a Network but the last."""
+    (out, in, kh, kw). ReLU follows every layer of a Network but the last,
+    and its Network names it."""
 
     params: MaskedTensor
     bias: np.ndarray
-    name: str = ""
+    name: str = field(default="", init=False)
 
 
 @dataclass
@@ -149,6 +154,12 @@ class Network:
     layers: list[Layer]
     # bumped whenever parameters or masks change; guards stale backward caches
     version: int = 0
+
+    def __post_init__(self):
+        # one naming rule, for built and restored networks alike
+        for idx, layer in enumerate(self.layers):
+            kind = "dense" if layer.params.weight.ndim == 2 else "conv"
+            layer.name = "head" if idx == len(self.layers) - 1 else f"{kind}{idx}"
 
     @property
     def prunable(self) -> list[MaskedTensor]:
@@ -199,7 +210,7 @@ def build_network(input_shape, layer_specs, num_classes: int, seed: int) -> Netw
         kind = spec[0]
         if kind == "dense":
             (out,) = spec[1:]
-            w_shape, name = (out, int(np.prod(shape))), f"dense{idx}"
+            w_shape = (out, int(np.prod(shape)))
             shape = (out,)
         elif kind == "conv2d":
             out, kh, kw = spec[1:]
@@ -208,13 +219,12 @@ def build_network(input_shape, layer_specs, num_classes: int, seed: int) -> Netw
                     f"conv2d layer {idx} needs (c, h, w) input, got shape {shape}"
                 )
             c, h, wd = shape
-            w_shape, name = (out, c, kh, kw), f"conv{idx}"
+            w_shape = (out, c, kh, kw)
             shape = (out, h, wd)
         else:
             raise ConfigurationError(f"unknown layer kind {kind!r}")
         w = _he_uniform(rng, w_shape, int(np.prod(w_shape[1:])))
-        layers.append(Layer(MaskedTensor(w, np.ones_like(w)), np.zeros(out), name))
-    layers[-1].name = "head"
+        layers.append(Layer(MaskedTensor(w, np.ones_like(w)), np.zeros(out)))
     return Network(layers)
 
 
@@ -293,7 +303,7 @@ def forward(net: Network, batch: Batch):
                 )
             pre = x @ e.T
             pre += layer.bias
-            step = {"x": x, "e": e, "pre": pre}
+            step = {"x": x, "pre": pre}
         else:
             if x.ndim != 4:
                 raise ConfigurationError(
@@ -308,9 +318,8 @@ def forward(net: Network, batch: Batch):
             cols = _im2col(x, kh, kw)
             pre = (e.reshape(o, -1) @ cols).reshape(o, b, h, w)
             pre += layer.bias[:, None, None, None]
-            step = {"x": x, "e": e, "cols": cols, "pre": pre}
+            step = {"x": x, "cols": cols, "pre": pre}
         x = np.maximum(pre, 0.0, out=pre) if idx < last else pre
-        step["out"] = x
         steps.append(step)
     logits = x
     if logits.ndim != 2:
@@ -326,7 +335,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def loss_and_dout(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """task_loss and its gradient with respect to the logits, from one log-softmax.
+    """The mean softmax cross-entropy over the batch and its gradient with
+    respect to the logits, from one log-softmax.
 
     The loss is the picked log-probabilities' sum over n, the same double as
     their np.mean; the gradient is taken in the log-softmax's own buffer.
@@ -345,36 +355,29 @@ def loss_and_dout(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, probs
 
 
-def task_loss(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy over the batch."""
-    return loss_and_dout(logits, labels)[0]
-
-
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """The share of rows whose largest logit is the label's, a Python float."""
     return int(np.count_nonzero(np.argmax(logits, axis=1) == np.asarray(labels))) / len(logits)
 
 
-def backward(net: Network, cache, labels, dout=None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients of task_loss w.r.t. every layer's effective weight and bias.
+def backward(net: Network, cache, dout: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Gradients of the loss w.r.t. every layer's effective weight and bias.
 
-    Defined at all weight positions, masked ones included. The cache must come
-    from a forward on the current parameters; it holds the effective weights
-    that forward used. dout, the loss gradient with respect to the logits, is
-    computed from labels unless the caller already has it from loss_and_dout
-    on the cache's logits. The input gradient of the first layer is not
-    computed, since nothing reads it.
+    Defined at all weight positions, masked ones included. dout is the loss
+    gradient with respect to the logits, as loss_and_dout gives it for the
+    cache's logits; it is read, never written. The cache must come from a
+    forward on the current parameters, since the weights are read from net.
+    The input gradient of the first layer is not computed, since nothing
+    reads it.
 
-    The cache is consumed: once dout is known, its step list is taken out of
-    it, and each layer's arrays are let go of as soon as they are read. A
-    second backward on it raises InvalidStateError.
+    The cache is consumed: its step list is taken out of it, and each layer's
+    arrays are let go of as soon as they are read. A second backward on it
+    raises InvalidStateError.
     """
     if cache.get("net_id") != id(net) or cache.get("version") != net.version:
         raise InvalidStateError("cache is stale: parameters changed since forward")
     if "steps" not in cache:
         raise InvalidStateError("cache was already consumed: a forward cache feeds one backward")
-    if dout is None:
-        dout = loss_and_dout(cache["steps"][-1]["out"], labels)[1]
     steps = cache.pop("steps")
 
     last = len(net.layers) - 1
@@ -382,9 +385,8 @@ def backward(net: Network, cache, labels, dout=None) -> list[tuple[np.ndarray, n
     for idx in range(last, -1, -1):
         step = steps.pop()  # the layer's arrays go as they are read, the rest at the next pop
         if idx < last:
-            dout *= step["pre"] > 0.0  # dout is this pass's own array below the logits
-        del step["pre"], step["out"]  # one array, read above
-        e = step["e"]
+            dout *= step.pop("pre") > 0.0  # dout is this pass's own array below the logits
+        e = net.layers[idx].params.weight
         if e.ndim == 2:
             dw = dout.T @ step.pop("x")
             db = dout.sum(axis=0)
@@ -398,8 +400,8 @@ def backward(net: Network, cache, labels, dout=None) -> list[tuple[np.ndarray, n
             break
         if e.ndim == 2:
             dout = dout @ e
-            if steps[-1]["out"].ndim == 4:
-                c, b, h, w = steps[-1]["out"].shape
+            if steps[-1]["pre"].ndim == 4:
+                c, b, h, w = steps[-1]["pre"].shape
                 dout = dout.reshape(b, c, h, w).swapaxes(0, 1)
         else:
             dout = _col2im(e.reshape(o, -1).T @ dout, step["x"].shape, kh, kw)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SvdFactors, as_matrix, frobenius_norm, low_rank_error, svd
+from .linalg import SvdFactors, as_matrix, check_k, frobenius_norm, low_rank_error, svd
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -116,19 +116,11 @@ def _live_block(w, norm_floor: float):
     return w, norm, wbar, rows, cols, block
 
 
-def _check_k(k, w: np.ndarray) -> None:
-    """Raise unless k is an integer (not a bool) in [1, min(m, n) - 1]."""
-    r = min(w.shape)
-    is_int = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-    if not (is_int and 1 <= k < r):
-        raise ValueError(f"k={k} must be an integer in [1, {r - 1}]")
-
-
 def _padded(sigma, w: np.ndarray, k: int | None) -> SvdFactors:
     """Values-only factors of sigma and zeros up to r = min(m, n); a given k
-    must pass _check_k."""
+    must be an integer in [1, r - 1]."""
     if k is not None:
-        _check_k(k, w)
+        check_k(k, 1, min(w.shape) - 1)
     return SvdFactors(u=None, sigma=np.concatenate([sigma, np.zeros(min(w.shape) - len(sigma))]), v=None)
 
 
@@ -271,7 +263,7 @@ def rank_step_preview(w, k: int, gamma: float, norm_floor: float = 1e-12) -> np.
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     w = as_matrix(w)
-    _check_k(k, w)  # before the gamma = 0 shortcut, which looks at no k
+    check_k(k, 1, min(w.shape) - 1)  # before the gamma = 0 shortcut, which looks at no k
     if gamma == 0.0:
         return w.copy()
     return w - gamma * rank_loss_gradient(w, k, norm_floor)

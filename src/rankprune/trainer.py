@@ -148,7 +148,11 @@ def combined_gradient(net: Network, batch: Batch, rank_cfg: RankLossConfig):
     truncation boundary, or rank bound 1) contribute task gradient only, and
     are logged on this module's logger; logging is imported only then.
     """
-    grads = backward(net, forward(net, batch)[1], batch.labels)  # the cache goes before the rank terms
+    logits, cache = forward(net, batch)
+    dout = loss_and_dout(logits, batch.labels)[1]
+    del logits  # each array goes once read, the logits before backward allocates
+    grads = backward(net, cache, dout)  # which empties the cache
+    del cache, dout  # before the rank terms
     lam = rank_cfg.lam
     if lam == 0.0:
         return grads
@@ -209,7 +213,7 @@ def _divergence(net: Network, cache, step: int, loss: float) -> DivergenceError:
     """The error for a non-finite loss: it names the step and the first layer
     whose weights or activations are not finite."""
     for layer, out in zip(net.layers, cache["steps"]):
-        for what, values in (("weights", layer.params.weight), ("activations", out["out"])):
+        for what, values in (("weights", layer.params.weight), ("activations", out["pre"])):
             if not np.all(np.isfinite(values)):
                 return DivergenceError(
                     f"step {step}: task loss is {loss}; the {what} of layer {layer.name} are not finite"
@@ -357,7 +361,7 @@ def train(
             opt.mask_pruned(net)
             sparsity_now = net.sparsity()
         else:
-            grads = backward(net, cache, batch.labels, dout)  # which empties the cache
+            grads = backward(net, cache, dout)  # which empties the cache
         sgd_step(net, grads, opt, lr, cfg.momentum, cfg.weight_decay)
         del grads  # the eval and the next step run without them
 

@@ -195,17 +195,21 @@ def test_restore_rejects_nonzero_at_masked_position(name):
 
 
 @pytest.mark.parametrize(
-    "input_shape, specs",
-    [((6,), [("dense", 5)]), ((2, 4, 4), [("conv2d", 3, 3, 3), ("dense", 5)])],
+    "input_shape, specs, names",
+    [
+        ((6,), [("dense", 5)], ["dense0", "head"]),
+        ((2, 4, 4), [("conv2d", 3, 3, 3), ("dense", 5)], ["conv0", "dense1", "head"]),
+    ],
     ids=["dense", "conv"],
 )
-def test_network_from_rebuilds_the_network(input_shape, specs):
+def test_network_from_rebuilds_the_network(input_shape, specs, names):
     net = model.build_network(input_shape, specs, 4, seed=2)
     for layer in net.layers:
         w = layer.params.weight
         layer.params.set_mask(np.arange(w.size).reshape(w.shape) % 3 != 0)
     rebuilt = ckpt.network_from(ckpt.state_from(net, OptimizerState.zeros_like(net), 9, bytes(32)))
-    assert [l.name for l in rebuilt.layers] == [f"layer{i}" for i in range(len(net.layers))]
+    # one naming rule: the built and the rebuilt network name each layer alike
+    assert [l.name for l in rebuilt.layers] == [l.name for l in net.layers] == names
     assert rebuilt.sparsity() == net.sparsity()
     batch = model.Batch(np.random.default_rng(3).random((4, *input_shape)), np.zeros(4, dtype=int))
     assert np.array_equal(model.forward(rebuilt, batch)[0], model.forward(net, batch)[0])

@@ -110,8 +110,8 @@ class TestForward:
         rng = np.random.default_rng(7)
         w0, b0, w1, b1 = rng.normal(size=(6, 4)), rng.normal(size=6), rng.normal(size=(3, 6)), rng.normal(size=3)
         layers = [
-            model.Layer(params=MaskedTensor(w, np.ones_like(w)), bias=b, name=f"l{i}")
-            for i, (w, b) in enumerate(((w0, b0), (w1, b1)))
+            model.Layer(params=MaskedTensor(w, np.ones_like(w)), bias=b)
+            for w, b in ((w0, b0), (w1, b1))
         ]
         net = model.Network(layers=layers)
         x, labels = rng.normal(size=(5, 4)), np.array([0, 1, 2, 0, 1])
@@ -120,8 +120,8 @@ class TestForward:
         assert (pre0 < 0).any() and (logits < 0).any()  # both rules are exercised
         np.testing.assert_array_equal(logits, np.maximum(pre0, 0.0) @ w1.T + b1)
 
-        (dw0, db0), (dw1, db1) = model.backward(net, cache, labels)
         dout = model.loss_and_dout(logits, labels)[1]
+        (dw0, db0), (dw1, db1) = model.backward(net, cache, dout)
         np.testing.assert_array_equal(dw1, dout.T @ np.maximum(pre0, 0.0))
         np.testing.assert_array_equal(db1, dout.sum(axis=0))
         dpre0 = (dout @ w1) * (pre0 > 0.0)
@@ -129,25 +129,24 @@ class TestForward:
         np.testing.assert_array_equal(db0, dpre0.sum(axis=0))
 
     def test_relu_in_place_keeps_the_backward_mask(self):
-        # a hidden layer's cached pre is its out, and backward's mask on it has
-        # the bits of dout * (pre-activation > 0.0)
+        # a hidden layer's cached pre is its activation, and backward's mask on
+        # it has the bits of dout * (pre-activation > 0.0)
         rng = np.random.default_rng(8)
         w0, w1 = rng.normal(size=(8, 4)), rng.normal(size=(3, 8))
         w0[:4] = 0.0  # units 0-3: each pre-activation is the bias, +0.0 plus it
         b0 = np.array([-1.5, np.nan, 2.0, -0.0, 0.5, -0.5, 0.0, 0.0])
         layers = [
-            model.Layer(params=MaskedTensor(w, np.ones_like(w)), bias=b, name=f"l{i}")
-            for i, (w, b) in enumerate(((w0, b0), (w1, np.zeros(3))))
+            model.Layer(params=MaskedTensor(w, np.ones_like(w)), bias=b)
+            for w, b in ((w0, b0), (w1, np.zeros(3)))
         ]
         net = model.Network(layers=layers)
         x, labels = rng.normal(size=(6, 4)), np.array([0, 1, 2, 0, 1, 2])
         pre0 = x @ w0.T + b0
         assert np.isnan(pre0).any() and (pre0 < 0).any() and (pre0 == 0).any() and (pre0 > 0).any()
         _, cache = model.forward(net, Batch(x, labels))
-        assert all(np.shares_memory(step["pre"], step["out"]) for step in cache["steps"][:-1])
 
         dout = rng.normal(size=(6, 3))  # finite, though the NaN unit makes the logits NaN
-        dw0, db0 = model.backward(net, cache, labels, dout)[0]
+        dw0, db0 = model.backward(net, cache, dout)[0]
         dpre0 = (dout @ w1) * (pre0 > 0.0)
         assert same_bits(dw0, dpre0.T @ x) and same_bits(db0, dpre0.sum(axis=0))
         # a GEMM plus bias sums from +0.0, so -0.0 never reaches the ReLU
@@ -187,15 +186,25 @@ class TestForward:
         assert np.array_equal(l1, l2)
 
 
+def task_loss(logits, labels):
+    return model.loss_and_dout(logits, labels)[0]
+
+
+def task_grads(net, batch):
+    """backward's gradients for one forward on batch, from loss_and_dout's dout."""
+    logits, cache = model.forward(net, batch)
+    return model.backward(net, cache, model.loss_and_dout(logits, batch.labels)[1])
+
+
 class TestTaskLoss:
     def test_uniform_softmax(self):
-        assert model.task_loss(np.array([[0.0, 0.0]]), np.array([0])) == pytest.approx(
+        assert task_loss(np.array([[0.0, 0.0]]), np.array([0])) == pytest.approx(
             np.log(2.0), abs=1e-12
         )
 
     def test_confident_margin_limit(self):
         losses = [
-            model.task_loss(np.array([[m, 0.0, 0.0]]), np.array([0])) for m in (1, 5, 20)
+            task_loss(np.array([[m, 0.0, 0.0]]), np.array([0])) for m in (1, 5, 20)
         ]
         assert losses[0] > losses[1] > losses[2]
         assert losses[2] < 1e-8
@@ -209,7 +218,7 @@ class TestTaskLoss:
             z = logits[i]
             expected += np.log(np.sum(np.exp(z - z.max()))) + z.max() - z[labels[i]]
         expected /= 16
-        assert model.task_loss(logits, labels) == pytest.approx(expected, abs=1e-12)
+        assert task_loss(logits, labels) == pytest.approx(expected, abs=1e-12)
 
 
 class TestBackward:
@@ -218,9 +227,7 @@ class TestBackward:
         net = model.build_network(2, [], 2, seed=8)
         net.layers[0].params.weight = np.array([[40.0, 0.0], [0.0, 40.0]])
         x = np.array([[1.0, 0.0]])
-        batch = Batch(x, np.array([0]))
-        logits, cache = model.forward(net, batch)
-        grads = model.backward(net, cache, batch.labels)
+        grads = task_grads(net, Batch(x, np.array([0])))
         assert np.max(np.abs(grads[0][0])) < 1e-12
 
     def test_finite_differences_all_positions(self):
@@ -238,8 +245,7 @@ class TestBackward:
         x = rng.normal(size=(3, 1, 4, 4))
         labels = rng.integers(0, 3, 3)
         batch = Batch(x, labels)
-        logits, cache = model.forward(net, batch)
-        grads = model.backward(net, cache, batch.labels)
+        grads = task_grads(net, batch)
 
         effs = [l.params.effective() for l in net.layers]
 
@@ -252,7 +258,7 @@ class TestBackward:
                 tl.bias = orig.bias.copy()
             twin.layers[layer_idx].params.weight[pos] += delta
             lg, _ = model.forward(twin, batch)
-            return model.task_loss(lg, labels)
+            return task_loss(lg, labels)
 
         eps = 1e-6
         rng2 = np.random.default_rng(11)
@@ -280,10 +286,8 @@ class TestBackward:
 
         x = rng.normal(size=(6, 5))
         labels = rng.integers(0, 3, 6)
-        _, cache = model.forward(net, Batch(x, labels))
-        _, tcache = model.forward(twin, Batch(x, labels))
-        g = model.backward(net, cache, labels)
-        tg = model.backward(twin, tcache, labels)
+        g = task_grads(net, Batch(x, labels))
+        tg = task_grads(twin, Batch(x, labels))
         for (dw, db), (tdw, tdb) in zip(g, tg):
             np.testing.assert_allclose(dw, tdw, atol=1e-12)
             np.testing.assert_allclose(db, tdb, atol=1e-12)
@@ -293,39 +297,38 @@ class TestBackward:
         net = model.build_network(5, [("dense", 4)], 3, seed=20)
         batch = Batch(rng.normal(size=(6, 5)), rng.integers(0, 3, 6))
         logits, cache = model.forward(net, batch)
-        loss, dout = model.loss_and_dout(logits, batch.labels)
-        assert loss == model.task_loss(logits, batch.labels)
-        passed = model.backward(net, cache, batch.labels, dout)
-        # a cache feeds one backward, so the second runs on a forward of its own
-        for (dw, db), (tdw, tdb) in zip(passed, model.backward(net, model.forward(net, batch)[1], batch.labels)):
+        passed = model.backward(net, cache, model.loss_and_dout(logits, batch.labels)[1])
+        # the reference backward takes the labels and computes dout itself
+        ref_cache = ref.forward(net, batch)[1]
+        for (dw, db), (tdw, tdb) in zip(passed, ref.backward(net, ref_cache, batch.labels)):
             np.testing.assert_array_equal(dw, tdw)
             np.testing.assert_array_equal(db, tdb)
 
     def test_backward_consumes_its_cache(self):
         net = model.build_network((1, 4, 4), [("conv2d", 2, 3, 3), ("dense", 5)], 3, seed=21)
         batch = Batch(np.random.default_rng(22).normal(size=(3, 1, 4, 4)), np.array([0, 1, 2]))
-        _, cache = model.forward(net, batch)
-        model.backward(net, cache, batch.labels)
+        logits, cache = model.forward(net, batch)
+        dout = model.loss_and_dout(logits, batch.labels)[1]
+        model.backward(net, cache, dout)
         assert not any(isinstance(v, (np.ndarray, list, dict)) for v in cache.values())
         with pytest.raises(InvalidStateError, match="cache was already consumed"):
-            model.backward(net, cache, batch.labels)
+            model.backward(net, cache, dout)
 
     def test_stale_cache_rejected(self):
         net = model.build_network(3, [("dense", 4)], 2, seed=14)
         batch = Batch(np.ones((2, 3)), np.array([0, 1]))
-        _, cache = model.forward(net, batch)
+        logits, cache = model.forward(net, batch)
         net.layers[0].params.weight *= 1.1
         net.touch()
         with pytest.raises(InvalidStateError):
-            model.backward(net, cache, batch.labels)
+            model.backward(net, cache, model.loss_and_dout(logits, batch.labels)[1])
 
     def test_bias_gradients_included(self):
         rng = np.random.default_rng(15)
         net = model.build_network(4, [("dense", 3)], 2, seed=16)
         x = rng.normal(size=(5, 4))
         labels = rng.integers(0, 2, 5)
-        _, cache = model.forward(net, Batch(x, labels))
-        grads = model.backward(net, cache, labels)
+        grads = task_grads(net, Batch(x, labels))
         eps = 1e-6
         for li, layer in enumerate(net.layers):
             for j in range(layer.bias.shape[0]):
@@ -337,8 +340,35 @@ class TestBackward:
                 lm, _ = model.forward(net, Batch(x, labels))
                 layer.bias[j] += eps
                 net.touch()
-                fd = (model.task_loss(lp, labels) - model.task_loss(lm, labels)) / (2 * eps)
+                fd = (task_loss(lp, labels) - task_loss(lm, labels)) / (2 * eps)
                 assert fd == pytest.approx(grads[li][1][j], rel=1e-4, abs=1e-9)
+
+
+
+@pytest.mark.parametrize(
+    "arch",
+    [((6,), [("dense", 5), ("dense", 4)], 3), ((2, 5, 5), [("conv2d", 3, 3, 3), ("conv2d", 4, 3, 3), ("dense", 6)], 3)],
+    ids=["dense", "conv"],
+)
+def test_cache_holds_each_array_once(arch):
+    # a cache step keeps only what backward reads; the weights it reads from net
+    net = model.build_network(*arch, seed=23)
+    rng = np.random.default_rng(24)
+    batch = Batch(rng.normal(size=(4, *arch[0])), rng.integers(0, 3, 4))
+    logits, cache = model.forward(net, batch)
+    steps = cache["steps"]
+    for layer, step in zip(net.layers, steps):
+        assert step.keys() == ({"x", "cols", "pre"} if layer.params.weight.ndim == 4 else {"x", "pre"})
+    assert steps[-1]["pre"] is logits
+    # a hidden layer's pre is its activation, the next layer's input, unless
+    # the flatten into a dense layer copies it
+    for step, after in zip(steps, steps[1:]):
+        flatten = step["pre"].ndim == 4 and after["x"].ndim == 2
+        assert np.shares_memory(step["pre"], after["x"]) != flatten
+    dout = model.loss_and_dout(logits, batch.labels)[1]
+    given = dout.copy()
+    model.backward(net, cache, dout)
+    assert same_bits(dout, given)
 
 
 KERNELS = [(1, 1), (3, 3), (5, 5), (3, 5), (2, 2)]
@@ -388,7 +418,7 @@ class TestMatchesReference:
         logits, cache = model.forward(net, batch_)
         ref_logits, ref_cache = ref.forward(net, batch_)
         np.testing.assert_array_equal(logits, ref_logits)
-        grads = model.backward(net, cache, batch_.labels)
+        grads = model.backward(net, cache, model.loss_and_dout(logits, batch_.labels)[1])
         for (dw, db), (ref_dw, ref_db) in zip(grads, ref.backward(net, ref_cache, batch_.labels)):
             np.testing.assert_array_equal(dw, ref_dw)
             np.testing.assert_array_equal(db, ref_db)
@@ -411,11 +441,11 @@ class TestMatchesReference:
         # _col2im zeroes strips of the patch gradient in place, never of a cached
         # array; backward lets go of the cache, so the test holds each array itself
         net, batch_ = reference_case(input_shape, convs, kernel, batch)
-        _, cache = model.forward(net, batch_)
+        logits, cache = model.forward(net, batch_)
         held = [dict(step) for step in cache["steps"]]
         assert len(held) == len(net.layers)
         before = [{k: v.copy() for k, v in step.items()} for step in held]
-        model.backward(net, cache, batch_.labels)
+        model.backward(net, cache, model.loss_and_dout(logits, batch_.labels)[1])
         for step, saved in zip(held, before):
             assert step.keys() == saved.keys()
             for k in step:
@@ -554,17 +584,15 @@ class TestStoredWeightIsEffective:
             params.mask = np.ones(3)
 
     def test_backward_refuses_a_cache_from_before_sgd_step(self):
-        # the cache holds the stored weights themselves, which sgd_step updates in place
+        # backward reads the stored weights, which sgd_step updates in place
         net = model.build_network(*STORED_ARCH, seed=4)
         batch = Batch(np.random.default_rng(5).normal(size=(2, 1, 4, 4)), np.array([0, 2]))
-        _, cache = model.forward(net, batch)
         # a second cache that no backward consumes, so only staleness can refuse it
-        _, kept = model.forward(net, batch)
-        assert all(step["e"] is l.params.weight for step, l in zip(kept["steps"], net.layers))
-        grads = model.backward(net, cache, batch.labels)
+        logits, kept = model.forward(net, batch)
+        grads = task_grads(net, batch)
         trainer.sgd_step(net, grads, trainer.OptimizerState.zeros_like(net), 0.1, 0.9, 0.0)
         with pytest.raises(InvalidStateError, match="stale"):
-            model.backward(net, kept, batch.labels)
+            model.backward(net, kept, model.loss_and_dout(logits, batch.labels)[1])
 
 
 def old_loss_and_dout(logits, labels):

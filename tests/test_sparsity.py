@@ -264,15 +264,9 @@ class TestSelectionMatchesFullSort:
 def toy_network(seed=0, sizes=((5, 6),)):
     layers = []
     rng = np.random.default_rng(seed)
-    for i, (out, inp) in enumerate(sizes):
+    for out, inp in sizes:
         w = rng.normal(size=(out, inp))
-        layers.append(
-            model.Layer(
-                params=model.MaskedTensor(w, np.ones_like(w)),
-                bias=np.zeros(out),
-                name=f"l{i}",
-            )
-        )
+        layers.append(model.Layer(params=model.MaskedTensor(w, np.ones_like(w)), bias=np.zeros(out)))
     return model.Network(layers=layers)
 
 
@@ -352,11 +346,11 @@ class TestUpdateMasks:
         # update_masks writes the stored weights in place
         net = toy_network(seed=3)
         batch = model.Batch(np.ones((2, 6)), np.array([0, 1]))
-        _, cache = model.forward(net, batch)
+        logits, cache = model.forward(net, batch)
         grads = [np.ones_like(l.params.weight) for l in net.layers]
         sp.update_masks(net, grads, schedule(final=0.5, prune=100, interval=10), GrowSchedule(0.3), 50)
         with pytest.raises(model.InvalidStateError):
-            model.backward(net, cache, batch.labels)
+            model.backward(net, cache, model.loss_and_dout(logits, batch.labels)[1])
 
     def test_wrong_step_raises(self):
         net = toy_network()

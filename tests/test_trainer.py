@@ -50,8 +50,8 @@ class TestCombinedGradient:
         data = small_dataset()
         batch = Batch(data.train_x[:8], data.train_y[:8])
         grads = trainer.combined_gradient(net, batch, RankLossConfig(lam=0.0))
-        _, cache = model.forward(net, batch)
-        task = model.backward(net, cache, batch.labels)
+        logits, cache = model.forward(net, batch)
+        task = model.backward(net, cache, model.loss_and_dout(logits, batch.labels)[1])
         for (dw, db), (tw, tb) in zip(grads, task):
             np.testing.assert_array_equal(dw, tw)
             np.testing.assert_array_equal(db, tb)
@@ -104,7 +104,7 @@ class TestCombinedGradient:
                 tl.bias = orig.bias.copy()
             twin.layers[layer_idx].params.weight[pos] += delta
             logits, _ = model.forward(twin, batch)
-            total = model.task_loss(logits, labels)
+            total = model.loss_and_dout(logits, labels)[0]
             for tl, k in zip(twin.layers, ks):
                 total += lam * rank.rank_loss(model.reshape_to_matrix(tl), k)
             return total
@@ -135,8 +135,8 @@ class TestCombinedGradient:
         data = small_dataset()
         batch = Batch(data.train_x[:8], data.train_y[:8])
         grads = trainer.combined_gradient(net, batch, RankLossConfig(lam=1.0))
-        _, cache = model.forward(net, batch)
-        task = model.backward(net, cache, batch.labels)
+        logits, cache = model.forward(net, batch)
+        task = model.backward(net, cache, model.loss_and_dout(logits, batch.labels)[1])
         np.testing.assert_array_equal(grads[0][0], task[0][0])
 
 
@@ -238,7 +238,7 @@ def conv_s90_case():
     def step():
         logits, cache = model.forward(net, batch)
         _, dout = model.loss_and_dout(logits, batch.labels)
-        model.backward(net, cache, batch.labels, dout)
+        model.backward(net, cache, dout)
 
     return net, x, y, batch, step
 
@@ -259,7 +259,7 @@ def toy_mask_step_case():
     def step():
         logits, cache = model.forward(net, batch)
         _, dout = model.loss_and_dout(logits, batch.labels)
-        trainer.sgd_step(net, model.backward(net, cache, batch.labels, dout), opt, 0.03, 0.9, 0.0)
+        trainer.sgd_step(net, model.backward(net, cache, dout), opt, 0.03, 0.9, 0.0)
 
     step()
     return net, batch, cfg.train, step
