@@ -154,16 +154,7 @@ def cmd_sweep_lambda(args) -> int:
     if workers > 1 and len(jobs) > 1:
         import multiprocessing as mp
 
-        # a spawned worker loads BLAS afresh and reads its thread count then,
-        # so each gets one thread unless the caller chose otherwise
-        pinned = [v for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS") if v not in os.environ]
-        os.environ.update(dict.fromkeys(pinned, "1"))
-        try:
-            pool = mp.get_context("spawn").Pool(min(workers, len(jobs)))
-        finally:
-            for var in pinned:
-                del os.environ[var]
-        with pool:
+        with mp.get_context("spawn").Pool(min(workers, len(jobs))) as pool:
             results = pool.map(_sweep_one, jobs)
     else:
         results = [_sweep_one(job) for job in jobs]

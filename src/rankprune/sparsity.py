@@ -174,9 +174,16 @@ def global_density_split(weights, density: float, masks=None) -> list[float]:
     return densities
 
 
-def _active_flat(m: np.ndarray) -> np.ndarray:
-    flat = np.asarray(m, dtype=np.float64).ravel()
-    return np.nonzero(flat == 1.0)[0]
+def _select(scores, m, flag: float, k: int) -> np.ndarray:
+    """m with every entry equal to flag cleared and 1.0 set at the k of those
+    entries with the largest |scores|, ties toward the smaller flat index, in
+    the shape of scores. Prune selects among the active entries (flag 1.0),
+    grow among the inactive ones (flag 0.0), which are clear already."""
+    flat = np.ravel(m)
+    candidates = np.flatnonzero(flat == flag)
+    new_mask = np.zeros(flat.shape) if flag else flat.copy()
+    new_mask[candidates[_top_k(np.abs(np.ravel(scores)[candidates]), k)]] = 1.0
+    return new_mask.reshape(np.shape(scores))
 
 
 def prune_layer(w, m, keep_density: float) -> np.ndarray:
@@ -185,21 +192,15 @@ def prune_layer(w, m, keep_density: float) -> np.ndarray:
     The keep budget is ceil(keep_density * size). Ties break toward the
     smaller flat index.
     """
-    w = np.asarray(w, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
     if not 0.0 < keep_density <= 1.0:
         raise ValueError(f"keep_density must lie in (0,1], got {keep_density}")
-    size = w.size
-    budget = layer_budget(keep_density, size)
-    active = _active_flat(m)
-    if budget > active.shape[0]:
+    budget = layer_budget(keep_density, np.size(w))
+    active_count = int(np.count_nonzero(np.ravel(m) == 1.0))
+    if budget > active_count:
         raise ScheduleError(
-            f"prune keep budget {budget} exceeds active count {active.shape[0]}"
+            f"prune keep budget {budget} exceeds active count {active_count}"
         )
-    mags = np.abs(w.ravel()[active])
-    new_mask = np.zeros(size, dtype=np.float64)
-    new_mask[active[_top_k(mags, budget)]] = 1.0
-    return new_mask.reshape(w.shape)
+    return _select(w, m, 1.0, budget)
 
 
 def grow_layer(dense_grad, m, target_density: float) -> np.ndarray:
@@ -210,22 +211,13 @@ def grow_layer(dense_grad, m, target_density: float) -> np.ndarray:
     zero by construction (pruning zeroes stored values), so growth leaves the
     forward pass unchanged until the next optimizer step.
     """
-    g = np.asarray(dense_grad, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    size = g.size
-    budget = layer_budget(target_density, size)
-    flat = m.ravel()
-    active_count = int(np.count_nonzero(flat == 1.0))
+    budget = layer_budget(target_density, np.size(dense_grad))
+    active_count = int(np.count_nonzero(np.ravel(m) == 1.0))
     if budget < active_count:
         raise ScheduleError(
             f"grow target {budget} below current active count {active_count}"
         )
-    inactive = np.nonzero(flat == 0.0)[0]
-    need = budget - active_count
-    mags = np.abs(g.ravel()[inactive])
-    new_mask = flat.copy()
-    new_mask[inactive[_top_k(mags, need)]] = 1.0
-    return new_mask.reshape(g.shape)
+    return _select(dense_grad, m, 0.0, budget - active_count)
 
 
 def update_masks(net, dense_grads, schedule: SparsitySchedule, grow: GrowSchedule, t: int) -> list[np.ndarray]:

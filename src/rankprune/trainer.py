@@ -272,10 +272,29 @@ def _libc():
     return libc
 
 
+def _blas():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheel
+    bundles in numpy.libs, with their signatures declared; None where numpy
+    bundles no such library or ctypes cannot open it."""
+    import os
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        name = next(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))
+        blas = ctypes.CDLL(os.path.join(libs, name))
+        get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
 @contextlib.contextmanager
 def _steady_heap():
-    """Keep the memory a training step frees for the next step, and hand the
-    free heap back to the system when the block ends, however it ends.
+    """Keep the memory a training step frees for the next step and run BLAS
+    on one thread; hand the free heap back to the system and restore the
+    BLAS thread count when the block ends, however it ends.
 
     glibc moves its mmap threshold with the sizes it frees and returns the
     free top of the heap to the system, so a step's arrays would be unmapped
@@ -286,12 +305,22 @@ def _steady_heap():
     back as it would under glibc's defaults. The trim threshold is set only where the mmap threshold took:
     set alone, it would freeze the mmap threshold at its 128 KiB start. A C
     library without mallopt or malloc_trim runs as it is.
+
+    OpenBLAS splits a product or a decomposition over its threads, and the
+    split changes the order of its sums, so the last bits of a run would
+    depend on the thread count the environment sets. One thread makes them
+    the same under any count. Where _blas finds no library, BLAS runs at the
+    count the environment sets.
     """
     libc = _libc()
     mallopt = getattr(libc, "mallopt", None)
     pinned = mallopt is not None and mallopt(_M_MMAP_THRESHOLD, _HEAP_THRESHOLD) == 1
     if pinned:
         mallopt(_M_TRIM_THRESHOLD, _HEAP_THRESHOLD)
+    get_threads, set_threads = _blas() or (None, None)
+    if set_threads is not None:
+        threads = get_threads()
+        set_threads(1)
     try:
         yield
     finally:
@@ -300,6 +329,8 @@ def _steady_heap():
             trim(0)
         if pinned:
             mallopt(_M_TRIM_THRESHOLD, _DEFAULT_TRIM_THRESHOLD)
+        if set_threads is not None:
+            set_threads(threads)
 
 
 @_steady_heap()
@@ -329,7 +360,9 @@ def train(
     the next forward reuses it: under glibc's default thresholds it goes
     back to the system and is faulted back in, which cut conv-s90 from 278
     to 191 steps/s. The mmap threshold stays fixed for the rest of the
-    process; the bytes are the same either way.
+    process; the bytes are the same either way. _steady_heap also runs
+    BLAS on one thread, so the bytes do not depend on the thread count the
+    environment sets, and restores that count when train returns or raises.
     """
     sched = cfg.schedule
     opt = optimizer if optimizer is not None else OptimizerState.zeros_like(net)

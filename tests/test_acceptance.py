@@ -289,15 +289,12 @@ def run_matrix():
     """(seed, sparsity, lambda) -> (final avg delta-rank at 0.1, eval accuracy).
 
     Each run is deterministic and independent of the others, so they run on a
-    spawn pool whose workers pin BLAS to one thread.
+    spawn pool; train runs BLAS on one thread in each worker.
     """
     keys = [(seed, s, lam) for seed in SEEDS for s in SPARSITIES for lam in LAMBDAS]
     t0 = time.monotonic()
-    with pytest.MonkeyPatch.context() as patch:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            patch.setenv(var, "1")  # read by numpy when a spawned worker imports it
-        with multiprocessing.get_context("spawn").Pool(min(os.cpu_count() or 1, 4)) as pool:
-            runs = pool.map(_bench_run, keys, chunksize=1)
+    with multiprocessing.get_context("spawn").Pool(min(os.cpu_count() or 1, 4)) as pool:
+        runs = pool.map(_bench_run, keys, chunksize=1)
     results = {}
     for key, (rank_value, acc, sparsity, slack) in zip(keys, runs):
         # sanity: the run really hit its target sparsity

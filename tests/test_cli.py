@@ -1,7 +1,6 @@
 """Command-line behavior: artifacts, determinism, analyze, plot."""
 
 import json
-import multiprocessing
 import os
 import re
 import struct
@@ -153,6 +152,20 @@ class TestCmdTrain:
         assert main(["train", "--config", str(cfg_path)]) == 0
         assert (out / "metrics.csv").read_bytes() == first
 
+    @pytest.mark.skipif(trainer._blas() is None, reason="numpy bundles no OpenBLAS that train can set")
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # on 2 BLAS threads the toy run's rank loss moves in its last bits from
+        # step 1600 on, unless train runs BLAS on one
+        toy = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, PYTHONPATH=str(Path(rankprune.__file__).parents[1]), OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "rankprune.cli", "train", "--config", str(toy), "--out", str(out),
+                            "--stop-after", "1600"], env=env, capture_output=True, check=True)
+            runs.append([(out / name).read_bytes() for name in ("metrics.csv", "checkpoint.bin")])
+        assert runs[0] == runs[1]
+
     def test_seed_override_changes_run(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
         assert main(["train", "--config", str(cfg_path)]) == 0
@@ -251,6 +264,36 @@ class TestCmdTrain:
         assert len(rows[1]) > 1 and len(rows[2]) > 1
         assert rows[1][1:] + rows[2][1:] == rows[0][1:]
         assert (out_b / "checkpoint.bin").read_bytes() == (tmp_path / "full" / "checkpoint.bin").read_bytes()
+
+    @pytest.mark.parametrize("case", ["dense-rank-decay", "dense-cosine", "conv"])
+    def test_resume_at_every_step_reproduces_uninterrupted(self, tmp_path, case):
+        # mask steps every 10 up to step 30 (20 for conv), so the stops fall on
+        # and between mask steps, at the end of the ramp and in the finetune stage
+        if case == "conv":
+            pixels = np.random.default_rng(5).integers(0, 256, (40, 10, 10), dtype=np.uint8)
+            images, labels = write_idx_pair(tmp_path, pixels, [i % 4 for i in range(40)])
+            text = IDX_CONFIG.format(model="input = 1x10x10\nlayers = conv:4x3x3", images=images, labels=labels,
+                                     out=tmp_path / "full")
+        else:
+            schedule = "prune_steps = 30\nupdate_interval = 10\ntotal_steps = 40\n"
+            schedule += "lambda = 0.5\nweight_decay = 0.001" if case == "dense-rank-decay" else "cosine_lr = true"
+            text = CONFIG.format(out=tmp_path / "full").replace(
+                "prune_steps = 100\nupdate_interval = 50\ntotal_steps = 150", schedule)
+            if case == "dense-rank-decay":
+                text = text.replace("layers = dense:16", "layers = dense:16, dense:16")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        full_rows = (tmp_path / "full" / "metrics.csv").read_text().splitlines()[1:]
+        full_checkpoint = (tmp_path / "full" / "checkpoint.bin").read_bytes()
+        out_a, out_b = tmp_path / "part_a", tmp_path / "part_b"
+        for stop in range(1, len(full_rows)):
+            assert main(["train", "--config", str(cfg_path), "--out", str(out_a), "--stop-after", str(stop)]) == 0
+            assert main(["train", "--config", str(cfg_path), "--out", str(out_b),
+                         "--resume", str(out_a / "checkpoint.bin")]) == 0, f"resumed at step {stop}"
+            rows = [(out / "metrics.csv").read_text().splitlines()[1:] for out in (out_a, out_b)]
+            assert rows[0] + rows[1] == full_rows, f"resumed at step {stop}"
+            assert (out_b / "checkpoint.bin").read_bytes() == full_checkpoint, f"resumed at step {stop}"
 
     def test_stop_between_record_steps_gives_null_summary_fields(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
@@ -441,32 +484,11 @@ class TestCmdSweep:
         assert main(["sweep-lambda", "--config", str(cfg_path), "--lambdas", "0,0.1", "--out", str(seq_out)]) == 0
         par_out = tmp_path / "par"
         monkeypatch.setenv("RANKPRUNE_THREADS", "2")
-        # BLAS is pinned where the caller left it unset, only while the spawn pool starts
-        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        real_get_context, at_start = multiprocessing.get_context, []
-
-        def get_context(method):
-            assert method == "spawn"
-            ctx = real_get_context(method)
-
-            def pool(processes):
-                at_start.append({var: os.environ.get(var) for var in blas})
-                return ctx.Pool(processes)
-
-            return type("Spy", (), {"Pool": staticmethod(pool)})
-
-        monkeypatch.setattr(multiprocessing, "get_context", get_context)
-        environ = dict(os.environ)
         assert main(["sweep-lambda", "--config", str(cfg_path), "--lambdas", "0,0.1", "--out", str(par_out)]) == 0
-        assert at_start == [{"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}]
-        assert dict(os.environ) == environ
-        assert (par_out / "lambda_sweep.csv").read_bytes() == (seq_out / "lambda_sweep.csv").read_bytes()
-        assert (par_out / "lambda_0" / "metrics.csv").read_bytes() == (
-            seq_out / "lambda_0" / "metrics.csv"
-        ).read_bytes()
+        files = ["lambda_sweep.csv"] + [f"lambda_{lam}/{name}" for lam in ("0", "0.1")
+                                        for name in ("metrics.csv", "checkpoint.bin")]
+        for name in files:
+            assert (par_out / name).read_bytes() == (seq_out / name).read_bytes(), name
 
 
 class TestCmdAnalyze:

@@ -1,5 +1,6 @@
 """Combined objective, SGD, and the two-stage training loop."""
 
+import contextlib
 import dataclasses
 import logging
 import math
@@ -627,4 +628,44 @@ class TestSteadyHeap:
         cfg = small_config(total=100, prune=100)
         want = [m.csv_row() for m in trainer.train(small_net(), small_dataset(), cfg).metrics]
         monkeypatch.setattr(trainer, "_libc", lambda: libc)
+        assert [m.csv_row() for m in trainer.train(small_net(), small_dataset(), cfg).metrics] == want
+
+
+class FakeBlas:
+    """A BLAS thread count, starting at threads, that records each count set."""
+
+    def __init__(self, threads):
+        self.threads, self.sets = threads, []
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.sets.append(threads)
+        self.threads = threads
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("fails", [False, True], ids=["normal run", "failed run"])
+    def test_one_thread_for_the_steps_and_the_count_restored(self, monkeypatch, fails):
+        blas = FakeBlas(threads=3)
+        monkeypatch.setattr(trainer, "_blas", lambda: (blas.get, blas.set))
+        seen, batch_indices = [], trainer._batch_indices
+
+        def spying(seed, step, n, batch_size):
+            seen.append(blas.threads)
+            if fails:
+                raise ValueError("bad batch")
+            return batch_indices(seed, step, n, batch_size)
+
+        monkeypatch.setattr(trainer, "_batch_indices", spying)
+        with pytest.raises(ValueError, match="bad batch") if fails else contextlib.nullcontext():
+            trainer.train(small_net(), small_dataset(), small_config(total=50, prune=50))
+        assert seen == [1] * (1 if fails else 50)
+        assert blas.sets == [1, 3]
+
+    def test_runs_without_blas(self, monkeypatch):
+        cfg = small_config(total=100, prune=100)
+        want = [m.csv_row() for m in trainer.train(small_net(), small_dataset(), cfg).metrics]
+        monkeypatch.setattr(trainer, "_blas", lambda: None)
         assert [m.csv_row() for m in trainer.train(small_net(), small_dataset(), cfg).metrics] == want
