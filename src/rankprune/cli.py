@@ -1,7 +1,9 @@
 """Command line front end: train, sweep-lambda, analyze, plot.
 
-One process per command, no shared state. All outputs are deterministic
-functions of (config, seed); metrics CSVs from identical runs are
+Each command runs in its own process with no shared state; sweep-lambda
+trains its lambdas on a pool of spawned workers, one per usable CPU and at
+most one per lambda. All outputs are deterministic functions of (config,
+seed), whatever the pool size; metrics CSVs from identical runs are
 byte-identical.
 """
 
@@ -39,6 +41,9 @@ def _build_dataset(cfg: ExperimentConfig) -> datasets.Dataset:
             f"{cfg.dataset.images}: images are {'x'.join(map(str, sample))}, "
             f"which does not fit [model] input {'x'.join(map(str, want))}"
         )
+    if images.labels.max() >= cfg.model.num_classes:
+        raise IdxError(f"{cfg.dataset.labels}: largest label is {images.labels.max()}, "
+                       f"which does not fit [model] classes {cfg.model.num_classes}")
     return datasets.stack_batches(images, flatten=flatten)
 
 
@@ -141,23 +146,15 @@ def cmd_sweep_lambda(args) -> int:
     shared = [f"{t} -> {d}" for t, d in zip(texts, dirs) if dirs.count(d) > 1]
     if shared:
         raise ValueError(f"--lambdas: values share an output directory: {', '.join(shared)}")
-    threads = os.environ.get("RANKPRUNE_THREADS", "1")
-    try:
-        workers = int(threads)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"RANKPRUNE_THREADS must be an integer >= 1, got {threads!r}")
     out_dir = Path(cfg.report.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, lam, out_dir / d) for lam, d in zip(lambdas, dirs)]
-    if workers > 1 and len(jobs) > 1:
-        import multiprocessing as mp
+    # train runs BLAS on one thread in each worker, so no byte depends on the pool size
+    import multiprocessing as mp
 
-        with mp.get_context("spawn").Pool(min(workers, len(jobs))) as pool:
-            results = pool.map(_sweep_one, jobs)
-    else:
-        results = [_sweep_one(job) for job in jobs]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with mp.get_context("spawn").Pool(min(cpus, len(jobs))) as pool:
+        results = pool.map(_sweep_one, jobs)
     lines = [SWEEP_HEADER]
     for lam, summary in results:
         lines.append(f"{lam!r},{summary['avg_delta_rank']!r},{summary['eval_accuracy']!r}")

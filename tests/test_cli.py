@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, determinism, analyze, plot."""
 
 import json
+import multiprocessing
 import os
 import re
 import struct
@@ -232,6 +233,16 @@ class TestCmdTrain:
         want = model.split("\n")[0].removeprefix("input = ")
         assert f"{images}: images are 1x12x12, which does not fit [model] input {want}" in err
         assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("at", [5, 35], ids=["train-split", "eval-tail"])
+    def test_idx_labels_must_fit_model_classes(self, tmp_path, capsys, at):
+        pixels = np.random.default_rng(0).integers(0, 256, (40, 10, 10), dtype=np.uint8)
+        images, labels = write_idx_pair(tmp_path, pixels, [7 if i == at else i % 4 for i in range(40)])
+        cfg_path = tmp_path / "idx.cfg"
+        cfg_path.write_text(IDX_CONFIG.format(model="input = 100", images=images, labels=labels, out=tmp_path / "run"))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert f"error: {labels}: largest label is 7, which does not fit [model] classes 4" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_conv_run_matches_reference_layout(self, tmp_path, monkeypatch):
         # masks every 10 steps, two conv layers, so every conv GEMM and the patch scatter run
@@ -469,26 +480,25 @@ class TestCmdSweep:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
-    def test_bad_thread_count_rejected_before_writing(self, tmp_path, capsys, monkeypatch, threads):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_sweep_equals_train_at_each_lambda(self, tmp_path, monkeypatch, cpus):
+        # the pool has one worker per usable CPU; its size must not move a byte
         cfg_path, _ = write_config(tmp_path)
-        out = tmp_path / "sweep"
-        monkeypatch.setenv("RANKPRUNE_THREADS", threads)
-        assert main(["sweep-lambda", "--config", str(cfg_path), "--lambdas", "0", "--out", str(out)]) == 1
-        assert f"RANKPRUNE_THREADS must be an integer >= 1, got {threads!r}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_parallel_workers_match_sequential(self, tmp_path, monkeypatch):
-        cfg_path, _ = write_config(tmp_path)
-        seq_out = tmp_path / "seq"
-        assert main(["sweep-lambda", "--config", str(cfg_path), "--lambdas", "0,0.1", "--out", str(seq_out)]) == 0
-        par_out = tmp_path / "par"
-        monkeypatch.setenv("RANKPRUNE_THREADS", "2")
-        assert main(["sweep-lambda", "--config", str(cfg_path), "--lambdas", "0,0.1", "--out", str(par_out)]) == 0
-        files = ["lambda_sweep.csv"] + [f"lambda_{lam}/{name}" for lam in ("0", "0.1")
-                                        for name in ("metrics.csv", "checkpoint.bin")]
-        for name in files:
-            assert (par_out / name).read_bytes() == (seq_out / name).read_bytes(), name
+        sizes = []
+        spawn = multiprocessing.get_context("spawn")
+        pool = type(spawn).Pool
+        monkeypatch.setattr(type(spawn), "Pool", lambda ctx, n: sizes.append(n) or pool(ctx, n))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        sweep_out = tmp_path / "sweep"
+        assert main(["sweep-lambda", "--config", str(cfg_path), "--lambdas", "0,0.1", "--out", str(sweep_out)]) == 0
+        assert sizes == [cpus]
+        for lam in ("0", "0.1"):
+            lam_cfg = tmp_path / f"lambda_{lam}.cfg"
+            lam_cfg.write_text(cfg_path.read_text().replace("seed = 1\n", f"seed = 1\nlambda = {lam}\n"))
+            train_out = tmp_path / f"train_{lam}"
+            assert main(["train", "--config", str(lam_cfg), "--out", str(train_out)]) == 0
+            for name in ("metrics.csv", "checkpoint.bin", "summary.json"):
+                assert (sweep_out / f"lambda_{lam}" / name).read_bytes() == (train_out / name).read_bytes(), (lam, name)
 
 
 class TestCmdAnalyze:
