@@ -125,30 +125,32 @@ def network_from(state: TrainState) -> Network:
 
 
 def save_checkpoint(path, state: TrainState) -> None:
-    """Write state to path atomically: a failed write leaves any earlier file whole."""
-    chunks = [MAGIC]
-    chunks.append(struct.pack("<IQ", FORMAT_VERSION, state.step))
+    """Write state to path atomically: a failed write leaves any earlier file whole.
+
+    Each piece goes to the file as it is made, tensors from their own
+    buffers, so no copy of the file is held in memory.
+    """
     digest = state.config_digest
     if len(digest) != 32:
         raise ValueError("config digest must be 32 bytes")
-    chunks.append(digest)
-    chunks.append(struct.pack("<I", len(state.tensors)))
-    for name, arr in state.tensors.items():
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype not in _DTYPE_CODES:
-            arr = arr.astype(np.float64)
-        code = _DTYPE_CODES[arr.dtype]
-        name_bytes = name.encode("utf-8")
-        chunks.append(struct.pack("<HBB", len(name_bytes), code, arr.ndim))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        chunks.append(little.tobytes())
     # a temporary file in the same directory, so that os.replace stays on one filesystem
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(b"".join(chunks))
+            f.write(MAGIC)
+            f.write(struct.pack("<IQ", FORMAT_VERSION, state.step))
+            f.write(digest)
+            f.write(struct.pack("<I", len(state.tensors)))
+            for name, arr in state.tensors.items():
+                arr = np.ascontiguousarray(arr)
+                if arr.dtype not in _DTYPE_CODES:
+                    arr = arr.astype(np.float64)
+                code = _DTYPE_CODES[arr.dtype]
+                name_bytes = name.encode("utf-8")
+                f.write(struct.pack("<HBB", len(name_bytes), code, arr.ndim))
+                f.write(name_bytes)
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).data)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

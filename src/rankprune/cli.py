@@ -51,15 +51,42 @@ def _build_network(cfg: ExperimentConfig) -> model.Network:
     return model.build_network(cfg.model.input_shape, cfg.model.layers, cfg.model.num_classes, cfg.train.seed)
 
 
-def _write_metrics(path: Path, records: list[MetricsRecord]) -> None:
-    lines = [MetricsRecord.CSV_HEADER] + [r.csv_row() for r in records]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+class _MetricsRows:
+    """What train appends its records to in a run of this front end: their
+    metrics.csv rows go to file a block at a time, and no more than a block
+    of records is held, so a run's memory does not grow with its step count.
+    A block's rows are made together: on the toy run a row made between two
+    steps took about 18 us, against 9 in a block, and slowed the steps."""
+
+    BLOCK = 100
+
+    def __init__(self, file):
+        self.file = file
+        self.count = 0
+        self.block: list[MetricsRecord] = []
+        self.last: MetricsRecord | None = None
+        file.write(MetricsRecord.CSV_HEADER + "\n")
+
+    def append(self, record: MetricsRecord) -> None:
+        self.block.append(record)
+        self.count += 1
+        self.last = record
+        if len(self.block) == self.BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the rows of the records held, and let them go."""
+        self.file.write("".join([r.csv_row() + "\n" for r in self.block]))
+        self.block.clear()
+
+    def __len__(self) -> int:
+        return self.count
 
 
 def _final_summary(cfg: ExperimentConfig, result: trainer.TrainResult) -> dict:
     """The run's end state. avg_delta_rank and eval_accuracy are the last metrics
     row's, so both are None when the run stopped between record steps."""
-    last = result.metrics[-1] if result.metrics else None
+    last = result.metrics.last
     return {
         "final_step": result.final_step,
         "final_sparsity": result.net.sparsity(),
@@ -86,9 +113,17 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path, stop_after=None, resume=No
         if start_step >= last:
             raise state.error(f"checkpoint is at step {start_step} and this run stops at step {last}: no step to run")
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = trainer.train(net, data, cfg.train, start_step=start_step, optimizer=opt,
-                           stop_after=stop_after, delta=cfg.report.delta)
-    _write_metrics(out_dir / "metrics.csv", result.metrics)
+    # rows go to a temporary file, so a run that raises leaves no metrics.csv
+    tmp = out_dir / "metrics.csv.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            rows = _MetricsRows(f)
+            result = trainer.train(net, data, cfg.train, start_step=start_step, optimizer=opt,
+                                   stop_after=stop_after, delta=cfg.report.delta, metrics=rows)
+            rows.flush()
+        os.replace(tmp, out_dir / "metrics.csv")
+    finally:
+        tmp.unlink(missing_ok=True)
     ckpt.save_checkpoint(
         out_dir / "checkpoint.bin",
         ckpt.state_from(net, result.optimizer, result.final_step, digest),
@@ -146,6 +181,7 @@ def cmd_sweep_lambda(args) -> int:
     shared = [f"{t} -> {d}" for t, d in zip(texts, dirs) if dirs.count(d) > 1]
     if shared:
         raise ValueError(f"--lambdas: values share an output directory: {', '.join(shared)}")
+    _build_dataset(cfg)  # an input file that does not fit the model fails here, before --out exists
     out_dir = Path(cfg.report.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, lam, out_dir / d) for lam, d in zip(lambdas, dirs)]

@@ -114,20 +114,21 @@ class MetricsRecord:
     train_acc: float
     eval_acc: float | None
 
-    CSV_HEADER: ClassVar[str]  # the field names, set below the class
+    CSV_FIELDS: ClassVar[tuple[str, ...]]  # the field names, set below the class
+    CSV_HEADER: ClassVar[str]
 
     def csv_row(self) -> str:
-        values = (getattr(self, f.name) for f in fields(self))
-        return ",".join("" if v is None else repr(v) for v in values)
+        return ",".join(["" if (v := getattr(self, name)) is None else repr(v) for name in self.CSV_FIELDS])
 
 
-MetricsRecord.CSV_HEADER = ",".join(f.name for f in fields(MetricsRecord))
+MetricsRecord.CSV_FIELDS = tuple(f.name for f in fields(MetricsRecord))
+MetricsRecord.CSV_HEADER = ",".join(MetricsRecord.CSV_FIELDS)
 
 
 @dataclass
 class TrainResult:
     net: Network
-    metrics: list[MetricsRecord]
+    metrics: list[MetricsRecord]  # or the object passed to train as metrics
     optimizer: OptimizerState
     final_step: int
 
@@ -342,11 +343,14 @@ def train(
     optimizer: OptimizerState | None = None,
     stop_after: int | None = None,
     delta: float = rank.DEFAULT_DELTA,
+    metrics=None,
 ) -> TrainResult:
     """Run steps start_step+1 .. total_steps (or stop_after) of the schedule.
 
-    dataset provides train_x/train_y/eval_x/eval_y arrays. One MetricsRecord
-    is appended per step, with delta-ranks at tolerance delta. Schedule
+    dataset provides train_x/train_y/eval_x/eval_y arrays. One MetricsRecord,
+    with delta-ranks at tolerance delta, is appended per step to metrics: a
+    new list, or any object with an append method that the caller passes.
+    The result's metrics is that object. Schedule
     problems raise, they are never clamped away; a non-finite task loss
     raises DivergenceError before the step updates anything, and a weight
     norm that overflows raises it at the next step that records rank metrics.
@@ -370,7 +374,8 @@ def train(
     if n < 1:
         raise ValueError("dataset is empty")
     last = sched.total_steps if stop_after is None else min(stop_after, sched.total_steps)
-    metrics: list[MetricsRecord] = []
+    if metrics is None:
+        metrics = []
     step = start_step
     sparsity_now = net.sparsity()  # masks change only in update_masks
     for step in range(start_step + 1, last + 1):

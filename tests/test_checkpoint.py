@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_trainer import traced_peak
 
 from rankprune import checkpoint as ckpt
 from rankprune import datasets, model, rank, trainer
@@ -180,6 +181,17 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
         ckpt.save_checkpoint(path, newer)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
+
+
+def test_save_peaks_below_half_the_file(tmp_path):
+    # the toy run's tensors, 434 KiB on disk: each is written from its own
+    # buffer, not gathered into a copy of the file first
+    net = model.build_network(64, [("dense", 128), ("dense", 128)], 10, seed=0)
+    state = ckpt.state_from(net, OptimizerState.zeros_like(net), 3000, bytes(32))
+    path = tmp_path / "c.bin"
+    peak = traced_peak(lambda: ckpt.save_checkpoint(path, state))
+    assert ckpt.load_checkpoint(path).tensors.keys() == state.tensors.keys()
+    assert peak < path.stat().st_size / 2
 
 
 @pytest.mark.parametrize("name", ["layer0.weight", "layer0.momentum"])

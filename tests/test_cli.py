@@ -14,6 +14,7 @@ import conv_reference
 import numpy as np
 import pytest
 from test_datasets import write_idx_pair
+from test_trainer import traced_peak
 
 import rankprune
 from rankprune import checkpoint as ckpt
@@ -194,6 +195,21 @@ class TestCmdTrain:
         assert rows_a[1:] + rows_b[1:] == full_rows[1:]
         # final checkpoints bitwise identical
         assert (out_b / "checkpoint.bin").read_bytes() == (out / "checkpoint.bin").read_bytes()
+        for run in (out, out_a, out_b):  # no temporary file is left
+            assert sorted(p.name for p in run.iterdir()) == ["checkpoint.bin", "metrics.csv", "summary.json"]
+
+    def test_memory_does_not_grow_with_the_step_count(self, tmp_path, capsys):
+        # the longer run adds a fixed-mask tail; holding its records, or its
+        # whole CSV text, would add about 450 B a step to the peak
+        cfg_path, _ = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path), "--stop-after", "1"]) == 0  # imports and caches first
+        peaks = []
+        for steps in (150, 600):
+            cfg_path, out = write_config(tmp_path, f"steps{steps}")
+            cfg_path.write_text(cfg_path.read_text().replace("total_steps = 150", f"total_steps = {steps}"))
+            peaks.append(traced_peak(lambda: main(["train", "--config", str(cfg_path)])))
+            assert json.loads((out / "summary.json").read_text())["final_step"] == steps
+        assert abs(peaks[1] - peaks[0]) < 64 << 10, peaks
 
     def test_metrics_record_at_report_delta(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
@@ -234,13 +250,15 @@ class TestCmdTrain:
         assert f"{images}: images are 1x12x12, which does not fit [model] input {want}" in err
         assert not (tmp_path / "run" / "metrics.csv").exists()
 
-    @pytest.mark.parametrize("at", [5, 35], ids=["train-split", "eval-tail"])
-    def test_idx_labels_must_fit_model_classes(self, tmp_path, capsys, at):
+    @pytest.mark.parametrize("command, at", [("train", 5), ("train", 35), ("sweep-lambda", 5), ("sweep-lambda", 35)],
+                             ids=["train-split", "eval-tail", "sweep-train-split", "sweep-eval-tail"])
+    def test_idx_labels_must_fit_model_classes(self, tmp_path, capsys, command, at):
         pixels = np.random.default_rng(0).integers(0, 256, (40, 10, 10), dtype=np.uint8)
         images, labels = write_idx_pair(tmp_path, pixels, [7 if i == at else i % 4 for i in range(40)])
         cfg_path = tmp_path / "idx.cfg"
         cfg_path.write_text(IDX_CONFIG.format(model="input = 100", images=images, labels=labels, out=tmp_path / "run"))
-        assert main(["train", "--config", str(cfg_path)]) == 1
+        lambdas = ["--lambdas", "0,0.1"] if command == "sweep-lambda" else []
+        assert main([command, "--config", str(cfg_path)] + lambdas) == 1
         assert f"error: {labels}: largest label is 7, which does not fit [model] classes 4" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
@@ -370,6 +388,7 @@ class TestCmdTrain:
         assert re.fullmatch(r"error: step \d+: task loss is nan; the (weights|activations) of layer \w+ are not finite\n", err), err
         assert not (out / "checkpoint.bin").exists()
         assert not (out / "metrics.csv").exists()
+        assert not (out / "metrics.csv.tmp").exists()
 
     def test_weight_norm_overflow_names_step_and_layer(self, tmp_path, capsys):
         toy = (Path(__file__).resolve().parent.parent / "configs" / "toy.cfg").read_text(encoding="utf-8")
