@@ -97,8 +97,7 @@ def _final_summary(cfg: ExperimentConfig, result: trainer.TrainResult) -> dict:
     }
 
 
-def _run_single(cfg: ExperimentConfig, out_dir: Path, stop_after=None, resume=None) -> dict:
-    data = _build_dataset(cfg)
+def _run_single(cfg: ExperimentConfig, data: datasets.Dataset, out_dir: Path, stop_after=None, resume=None) -> dict:
     net = _build_network(cfg)
     opt = trainer.OptimizerState.zeros_like(net)
     digest = config_hash(cfg)
@@ -150,17 +149,17 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 def cmd_train(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
     out_dir = Path(cfg.report.out_dir)
-    summary = _run_single(cfg, out_dir, stop_after=args.stop_after, resume=args.resume)
+    summary = _run_single(cfg, _build_dataset(cfg), out_dir, stop_after=args.stop_after, resume=args.resume)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
 def _sweep_one(payload):
-    cfg, lam, out_dir = payload
+    cfg, data, lam, out_dir = payload
     cfg = dataclasses.replace(
         cfg, train=dataclasses.replace(cfg.train, rank_cfg=dataclasses.replace(cfg.train.rank_cfg, lam=lam))
     )
-    summary = _run_single(cfg, out_dir)
+    summary = _run_single(cfg, data, out_dir)
     return lam, summary
 
 
@@ -181,10 +180,12 @@ def cmd_sweep_lambda(args) -> int:
     shared = [f"{t} -> {d}" for t, d in zip(texts, dirs) if dirs.count(d) > 1]
     if shared:
         raise ValueError(f"--lambdas: values share an output directory: {', '.join(shared)}")
-    _build_dataset(cfg)  # an input file that does not fit the model fails here, before --out exists
+    # built once, so an input file that does not fit the model fails before
+    # --out exists, and each job takes it in place of reading the files again
+    data = _build_dataset(cfg)
     out_dir = Path(cfg.report.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(cfg, lam, out_dir / d) for lam, d in zip(lambdas, dirs)]
+    jobs = [(cfg, data, lam, out_dir / d) for lam, d in zip(lambdas, dirs)]
     # train runs BLAS on one thread in each worker, so no byte depends on the pool size
     import multiprocessing as mp
 

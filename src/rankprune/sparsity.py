@@ -65,6 +65,8 @@ class SparsitySchedule:
             raise ValueError(
                 f"total_steps {self.total_steps} < prune_steps {self.prune_steps}"
             )
+        if self.total_steps >= 1 << 32:  # a step is one uint32 word of its batch draw's seed
+            raise ValueError(f"total_steps must be below 2**32, got {self.total_steps}")
         if self.shape not in ("cubic", "linear"):
             raise ValueError(f"shape must be cubic or linear, got {self.shape!r}")
 

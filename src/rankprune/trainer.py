@@ -7,15 +7,16 @@ on all other steps only the task loss trains the active weights, which keeps
 the SVD cost amortized over the update interval. Stage 2 freezes the masks and
 finetunes.
 
-Batch selection is stateless: step t draws its indices from a generator seeded
-by (seed, t), so resuming from a checkpoint is bitwise identical to never
-having stopped.
+Batch selection is stateless: step t's indices are the draw of a generator
+seeded by (seed, t), made DRAW_BLOCK steps at a time, so resuming from a
+checkpoint is bitwise identical to never having stopped.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import ClassVar
@@ -133,10 +134,63 @@ class TrainResult:
     final_step: int
 
 
-def _batch_indices(seed: int, step: int, n: int, batch_size: int) -> np.ndarray:
-    """Deterministic with-replacement draw for one step, independent of history."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1, step])))
-    return rng.integers(0, n, size=batch_size)
+# steps whose batch indices are drawn together
+DRAW_BLOCK = 100
+# numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _hashes(const: int, mult: int):
+    """(xor, multiplier) of SeedSequence's successive hashes: each xors the
+    constant in, advances it by mult and multiplies by the new constant."""
+    while True:
+        nxt = const * mult & 0xFFFFFFFF
+        yield const, nxt
+        const = nxt
+
+
+def _hash(words: np.ndarray, hashes) -> np.ndarray:
+    xor, mul = next(hashes)
+    words = (words ^ xor) * mul
+    return words ^ (words >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> 16)
+
+
+def _draw_block(seed: int, first: int, count: int, n: int, batch_size: int) -> np.ndarray:
+    """(count, batch_size) with-replacement draws; row i is step first+i's,
+    Generator(PCG64(SeedSequence([seed, 1, first + i]))).integers(0, n,
+    batch_size), so each step's batch depends on (seed, step) alone.
+
+    SeedSequence's pool (4 words) and its generate_state(4, uint64) run on
+    uint32 arrays over the block's steps, which must each fit one uint32;
+    PCG64's seeding runs on Python ints and one reused PCG64 takes each
+    step's state. Drawing a block in one loop saves the per-step
+    constructors, which run cold between a step's numpy work."""
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)] + [1]
+    entropy = [np.full(count, w, np.uint32) for w in words] + [np.arange(first, first + count, dtype=np.uint32)]
+    hashes = _hashes(_INIT_A, _MULT_A)
+    pool = [_hash(w, hashes) for w in (entropy + [np.zeros(count, np.uint32)])[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], _hash(pool[src], hashes))
+    for extra, dst in itertools.product(entropy[4:], range(4)):
+        pool[dst] = _mix(pool[dst], _hash(extra, hashes))
+    hashes = _hashes(_INIT_B, _MULT_B)
+    state = np.stack([_hash(pool[i % 4], hashes) for i in range(8)], axis=1).astype("<u4").view("<u8")
+    bits = np.random.PCG64(0)  # every draw sets its state first
+    gen = np.random.Generator(bits)
+    out = np.empty((count, batch_size), np.int64)
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, state.tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        pcg = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
+        bits.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        row[:] = gen.integers(0, n, size=batch_size)
+    return out
 
 
 def combined_gradient(net: Network, batch: Batch, rank_cfg: RankLossConfig):
@@ -351,7 +405,8 @@ def train(
     with delta-ranks at tolerance delta, is appended per step to metrics: a
     new list, or any object with an append method that the caller passes.
     The result's metrics is that object. Schedule
-    problems raise, they are never clamped away; a non-finite task loss
+    problems raise, they are never clamped away, and a delta that is not
+    positive raises before the first step; a non-finite task loss
     raises DivergenceError before the step updates anything, and a weight
     norm that overflows raises it at the next step that records rank metrics.
 
@@ -373,13 +428,18 @@ def train(
     n = dataset.train_x.shape[0]
     if n < 1:
         raise ValueError("dataset is empty")
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
     last = sched.total_steps if stop_after is None else min(stop_after, sched.total_steps)
     if metrics is None:
         metrics = []
     step = start_step
     sparsity_now = net.sparsity()  # masks change only in update_masks
     for step in range(start_step + 1, last + 1):
-        idx = _batch_indices(cfg.seed, step, n, cfg.batch_size)
+        row = (step - start_step - 1) % DRAW_BLOCK
+        if row == 0:
+            block = _draw_block(cfg.seed, step, min(DRAW_BLOCK, last + 1 - step), n, cfg.batch_size)
+        idx = block[row]
         batch = Batch(dataset.train_x[idx], dataset.train_y[idx])
         lr = cfg.learning_rate
         if cfg.cosine_lr:

@@ -18,8 +18,9 @@ from test_trainer import traced_peak
 
 import rankprune
 from rankprune import checkpoint as ckpt
-from rankprune import trainer
+from rankprune import cli, trainer
 from rankprune.cli import main
+from rankprune.config import parse_config
 
 CONFIG = """\
 [model]
@@ -519,6 +520,22 @@ class TestCmdSweep:
             for name in ("metrics.csv", "checkpoint.bin", "summary.json"):
                 assert (sweep_out / f"lambda_{lam}" / name).read_bytes() == (train_out / name).read_bytes(), (lam, name)
 
+    def test_job_runs_after_its_idx_files_are_gone(self, tmp_path):
+        # a job trains on the dataset the parent built, so it reads no input file
+        pixels = np.random.default_rng(0).integers(0, 256, (40, 10, 10), dtype=np.uint8)
+        images, labels = write_idx_pair(tmp_path, pixels, [i % 4 for i in range(40)])
+        cfg_path = tmp_path / "idx.cfg"
+        cfg_path.write_text(IDX_CONFIG.format(model="input = 100\nlayers = dense:8", images=images,
+                                              labels=labels, out=tmp_path / "train"))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        cfg = parse_config(cfg_path)
+        data = cli._build_dataset(cfg)
+        os.remove(images)
+        os.remove(labels)
+        assert cli._sweep_one((cfg, data, cfg.train.rank_cfg.lam, tmp_path / "job"))[0] == cfg.train.rank_cfg.lam
+        for name in ("metrics.csv", "checkpoint.bin", "summary.json"):
+            assert (tmp_path / "job" / name).read_bytes() == (tmp_path / "train" / name).read_bytes(), name
+
 
 class TestCmdAnalyze:
     def test_dense_checkpoint_reports_zero_sparsity(self, tmp_path, capsys):
@@ -673,8 +690,8 @@ class TestCmdPlot:
 
 
 # Trains CONV_60 through main in a fresh process and prints the minor page
-# faults per step over steps 21-60, counted from step 21's batch draw to the
-# return of train.
+# faults per step over steps 21-60, counted from step 21's accuracy, the
+# one call train makes once a step, to the return of train.
 FAULTS_PER_STEP = """\
 import resource, sys
 from rankprune import cli, trainer
@@ -682,18 +699,18 @@ from rankprune import cli, trainer
 def minflt():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-faults, batch_indices, train = {}, trainer._batch_indices, trainer.train
+faults, accuracy, train = {}, trainer.accuracy, trainer.train
 
-def counted_indices(seed, step, n, batch_size):
-    faults[step] = minflt()
-    return batch_indices(seed, step, n, batch_size)
+def counted_accuracy(logits, labels):
+    faults[len(faults) + 1] = minflt()
+    return accuracy(logits, labels)
 
 def counted_train(*args, **kwargs):
     result = train(*args, **kwargs)
     faults["end"] = minflt()
     return result
 
-trainer._batch_indices, trainer.train = counted_indices, counted_train
+trainer.accuracy, trainer.train = counted_accuracy, counted_train
 assert cli.main(["train", "--config", sys.argv[1]]) == 0
 print((faults["end"] - faults[21]) / 40)
 """

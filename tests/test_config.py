@@ -152,6 +152,8 @@ def test_unknown_section_names_line():
         ("final_sparsity = 0.9", "final_sparsity = 1.5", "bad.cfg:14: [train] final_sparsity must lie in [0,1), got 1.5"),
         ("total_steps = 300\n", "total_steps = 300\nsparsity_schedule = spiral\n",
          "bad.cfg:18: [train] sparsity_schedule must be cubic or linear, got 'spiral'"),
+        ("total_steps = 300", "total_steps = 4294967296",
+         "bad.cfg:17: [train] total_steps must be below 2**32, got 4294967296"),
     ],
 )
 def test_non_finite_number_and_negative_seed_rejected(old, new, message):

@@ -321,10 +321,50 @@ class TestEvaluate:
         assert eval_peak < 1.5 * traced_peak(lambda: model.forward(net, batch))
 
 
-@pytest.mark.parametrize("seed, step", [(0, 1), (3, 77), (11, 2999), (2**31, 5)])
-def test_batch_indices_are_default_rngs_draws(seed, step):
-    want = np.random.default_rng(np.random.PCG64(np.random.SeedSequence([seed, 1, step])))
-    assert np.array_equal(trainer._batch_indices(seed, step, 300, 32), want.integers(0, 300, size=32))
+def numpy_batch(seed, step, n, batch_size):
+    """Step step's batch indices as numpy draws them from (seed, step) alone."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1, step])))
+    return rng.integers(0, n, size=batch_size)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 2**31, 2**32 + 7, 2**64 + 3])
+@pytest.mark.parametrize("first, count", [(1, 100), (95, 10), (2999, 2), (2**32 - 3, 3)],
+                         ids=["first block", "across a block boundary", "resumed", "last steps"])
+def test_block_draw_is_numpys_draw_per_step(seed, first, count):
+    # seeds of one, two and three uint32 words take SeedSequence's three
+    # entropy paths: padded with a zero, filling the pool, and mixed in after it
+    block = trainer._draw_block(seed, first, count, 300, 32)
+    assert block.shape == (count, 32) and block.dtype == np.int64
+    for row, step in zip(block, range(first, first + count)):
+        assert np.array_equal(row, numpy_batch(seed, step, 300, 32))
+
+
+def test_train_takes_each_steps_numpy_batch(monkeypatch):
+    # a run resumed inside its first block draws blocks from steps 41, 141
+    # and 241, the last one for the 10 steps left, and every step's batch is
+    # numpy's draw for (seed, step)
+    cfg, data = small_config(total=250, prune=200), small_dataset()
+    res = trainer.train(small_net(), data, cfg, stop_after=40)
+    blocks, inputs = [], []
+    draw_block = trainer._draw_block
+
+    def drawing(seed, first, count, n, batch_size):
+        blocks.append((first, count))
+        return draw_block(seed, first, count, n, batch_size)
+
+    def batching(x, labels):
+        if not np.shares_memory(x, data.eval_x):
+            inputs.append(x)
+        return Batch(x, labels)
+
+    monkeypatch.setattr(trainer, "_draw_block", drawing)
+    monkeypatch.setattr(trainer, "Batch", batching)
+    trainer.train(res.net, data, cfg, start_step=40, optimizer=res.optimizer)
+    assert blocks == [(41, 100), (141, 100), (241, 10)]
+    n = len(data.train_y)
+    assert len(inputs) == 210
+    for step, x in zip(range(41, 251), inputs):
+        assert np.array_equal(x, data.train_x[numpy_batch(cfg.seed, step, n, cfg.batch_size)])
 
 
 class TestTrain:
@@ -539,6 +579,14 @@ class TestTrain:
         r2 = trainer.train(small_net(seed=8), small_dataset(), cfg_cos)
         assert not np.array_equal(r1.net.layers[0].params.weight, r2.net.layers[0].params.weight)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan])
+    def test_nonpositive_delta_refused_before_the_first_step(self, delta):
+        # rank metrics are first taken at step 10; the delta is checked at entry
+        rows = []
+        with pytest.raises(ValueError, match="delta must be positive"):
+            trainer.train(small_net(), small_dataset(), small_config(interval=10), delta=delta, metrics=rows)
+        assert rows == []
+
     def test_resume_matches_uninterrupted(self):
         cfg = small_config(final_sparsity=0.7, prune=200, interval=50, total=250)
         data = small_dataset()
@@ -605,11 +653,11 @@ class TestSteadyHeap:
         monkeypatch.setattr(trainer, "_libc", lambda: libc)
         seen = []
 
-        def failing(seed, step, n, batch_size):
+        def failing(seed, first, count, n, batch_size):
             seen.extend(libc.calls)
             raise ValueError("bad batch")
 
-        monkeypatch.setattr(trainer, "_batch_indices", failing)
+        monkeypatch.setattr(trainer, "_draw_block", failing)
         with pytest.raises(ValueError, match="bad batch"):
             trainer.train(small_net(), small_dataset(), small_config())
         assert seen == PINNED
@@ -650,18 +698,18 @@ class TestOneBlasThread:
     def test_one_thread_for_the_steps_and_the_count_restored(self, monkeypatch, fails):
         blas = FakeBlas(threads=3)
         monkeypatch.setattr(trainer, "_blas", lambda: (blas.get, blas.set))
-        seen, batch_indices = [], trainer._batch_indices
+        seen, draw_block = [], trainer._draw_block
 
-        def spying(seed, step, n, batch_size):
+        def spying(*args):
             seen.append(blas.threads)
             if fails:
                 raise ValueError("bad batch")
-            return batch_indices(seed, step, n, batch_size)
+            return draw_block(*args)
 
-        monkeypatch.setattr(trainer, "_batch_indices", spying)
+        monkeypatch.setattr(trainer, "_draw_block", spying)
         with pytest.raises(ValueError, match="bad batch") if fails else contextlib.nullcontext():
-            trainer.train(small_net(), small_dataset(), small_config(total=50, prune=50))
-        assert seen == [1] * (1 if fails else 50)
+            trainer.train(small_net(), small_dataset(), small_config(total=250, prune=50))
+        assert seen == [1] * (1 if fails else 3)  # a draw per 100 steps
         assert blas.sets == [1, 3]
 
     def test_runs_without_blas(self, monkeypatch):
