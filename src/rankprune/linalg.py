@@ -61,19 +61,18 @@ def frobenius_norm(w) -> float:
     return float(np.sqrt(np.sum(w * w)))
 
 
-def svd(w, vectors: bool = True) -> SvdFactors:
+def svd(w) -> SvdFactors:
     """Thin SVD with a deterministic sign convention.
 
     The sign of each left singular vector is fixed so that its first nonzero
     entry is non-negative (the matching right vector is flipped with it),
     which makes repeated calls on identical input bitwise reproducible. The
     rule is applied to all columns in one pass; an all-zero column is left
-    as it is. With vectors=False only sigma is computed, at a fraction of
-    the cost.
+    as it is. No training or reporting path calls it: rank.py takes every
+    spectrum from a Gram eigendecomposition, and this full SVD is the
+    reference the tests and the acceptance suite hold those spectra to.
     """
     w = as_matrix(w)
-    if not vectors:
-        return SvdFactors(u=None, sigma=np.linalg.svd(w, compute_uv=False), v=None)
     u, s, vt = np.linalg.svd(w, full_matrices=False)
     v = vt.T  # a view: the sign flips below write through to vt, which nothing else holds
     cols = np.arange(s.shape[0])

@@ -7,10 +7,13 @@ Minimizing it (maximizing tail energy) pushes the matrix away from every
 low-rank matrix at once, since truncated SVD is the closest one.
 
 Spectra are taken of the live block, the normalized matrix without its
-all-zero rows and columns (at high sparsity whole rows and columns die).
-Reported spectra come from a values-only SVD of that block; the mask-step
-gradient from one eigendecomposition of its smaller Gram matrix, since by
-Eckart-Young the best rank-k fit projects onto the top-k eigenspace.
+all-zero rows and columns (at high sparsity whole rows and columns die), from
+one symmetric eigendecomposition of its smaller Gram matrix. The mask-step
+gradient takes the eigenvectors too, since by Eckart-Young the best rank-k fit
+projects onto the top-k eigenspace; reported spectra (delta-rank, rank loss,
+analyze) take the eigenvalues alone. Each reported number is a tail sum of
+sigma^2, which the Gram gives to the accuracy the training objective uses, so
+no path runs an SVD.
 
 All functions operate on the effective (already masked) weight matrix and are
 pure; per-layer calls may run concurrently.
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SvdFactors, as_matrix, check_k, frobenius_norm, low_rank_error, svd
+from .linalg import SvdFactors, as_matrix, check_k, frobenius_norm, low_rank_error
+from .linalg import svd  # noqa: F401  not called here; perfbench/spans.py wraps rank.svd by this name
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -116,40 +120,32 @@ def _live_block(w, norm_floor: float):
     return w, norm, wbar, rows, cols, block
 
 
-def _padded(sigma, w: np.ndarray, k: int | None) -> SvdFactors:
-    """Values-only factors of sigma and zeros up to r = min(m, n); a given k
-    must be an integer in [1, r - 1]."""
-    if k is not None:
-        check_k(k, 1, min(w.shape) - 1)
-    return SvdFactors(u=None, sigma=np.concatenate([sigma, np.zeros(min(w.shape) - len(sigma))]), v=None)
+def _gram(w, norm_floor: float, k: int | None = None, vectors: bool = True):
+    """(w as a matrix, spectrum of w/||w||, live rank bound, fit) from one
+    symmetric eigendecomposition of the live block's smaller Gram.
 
-
-def _spectrum(w, norm_floor: float, k: int | None = None):
-    """The one normalize->SVD pass: (||w||, SVD values of w/||w||, live rank bound).
-
-    The values-only SVD runs on the live block; the live rank bound is the
-    smaller of its dimensions.
-    """
-    w, norm, _, _, _, b = _live_block(w, norm_floor)
-    return norm, _padded(svd(b, False).sigma, w, k), min(b.shape)
-
-
-def _gram(w, norm_floor: float, k: int | None = None):
-    """(w as a matrix, spectrum of w/||w||, live rank bound, fit) from one eigh.
-
-    The eigh is of B B^T when the live block B has no more rows than columns
-    (left), else of B^T B; the spectrum is sqrt(max(lambda, 0)), descending
-    and padded as in _spectrum. fit is (||w||, w/||w||, Q, left), with Q the
-    eigenbasis in ascending eigenvalue order, its rows placed at the live
-    rows (left) or columns of w and zero at the dead ones.
+    The Gram is B B^T when the live block B has no more rows than columns
+    (left), else B^T B; its order is the live rank bound. The spectrum is
+    sqrt(max(lambda, 0)) of its eigenvalues, descending and padded with zeros
+    to r = min(m, n), as values-only factors; a given k must be an integer in
+    [1, r - 1]. fit is (||w||, w/||w||, Q, left). With vectors np.linalg.eigh
+    decomposes the Gram, and Q is its eigenbasis in ascending eigenvalue
+    order, its rows placed at the live rows (left) or columns of w and zero
+    at the dead ones; without, np.linalg.eigvalsh gives the eigenvalues alone
+    and Q is None.
     """
     w, norm, wbar, rows, cols, b = _live_block(w, norm_floor)
+    if k is not None:
+        check_k(k, 1, min(w.shape) - 1)
     left = b.shape[0] <= b.shape[1]
-    lam, q = np.linalg.eigh(b @ b.T if left else b.T @ b)
-    basis = np.zeros((w.shape[0] if left else w.shape[1], q.shape[1]))
-    basis[rows if left else cols] = q
-    f = _padded(np.sqrt(np.maximum(lam[::-1], 0.0)), w, k)
-    return w, f, min(b.shape), (norm, wbar, basis, left)
+    g = b if left else b.T  # the Gram is g g^T
+    lam, q = np.linalg.eigh(g @ g.T) if vectors else (np.linalg.eigvalsh(g @ g.T), None)
+    basis = None if q is None else np.zeros((w.shape[0] if left else w.shape[1], q.shape[1]))
+    if q is not None:
+        basis[rows if left else cols] = q
+    sigma = np.sqrt(np.maximum(lam[::-1], 0.0))
+    f = SvdFactors(u=None, sigma=np.concatenate([sigma, np.zeros(min(w.shape) - len(sigma))]), v=None)
+    return w, f, len(lam), (norm, wbar, basis, left)
 
 
 def select_k(sigma_normalized, target_error: float) -> int:
@@ -226,7 +222,7 @@ def rank_loss(w, k: int, norm_floor: float = 1e-12) -> float:
     Equal to the negative squared Frobenius distance between the normalized
     matrix and its best rank-k approximation. Lies in [-1, 0].
     """
-    _, f, _ = _spectrum(w, norm_floor, k=k)
+    _, f, _, _ = _gram(w, norm_floor, k, vectors=False)
     err = low_rank_error(f, k)
     return -(err * err)
 
@@ -309,17 +305,19 @@ def _delta_rank(f: SvdFactors, delta: float) -> int:
 
 
 def layer_spectrum(w, delta: float, cfg: RankLossConfig | None = None, norm_floor: float = 1e-12):
-    """(sigma, delta_rank, loss) of one layer from a single values-only SVD.
+    """(sigma, delta_rank, loss) of one layer from a single eigvalsh of its Gram.
 
     sigma holds the normalized singular values, delta_rank is delta_rank(w,
-    delta), and loss is what layer_rank_term(w, cfg) would give. A matrix at
+    delta), and loss is what layer_rank_term(w, cfg) would give, up to the
+    last bits in which eigvalsh's eigenvalues differ from eigh's. A matrix at
     or below norm_floor reports an empty sigma and delta-rank 0; loss is None
-    without cfg and wherever layer_rank_term would skip the layer.
+    without cfg and wherever layer_rank_term would skip the layer. No value
+    depends on the signs of w's zeros.
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     try:
-        norm, f, bound = _spectrum(w, norm_floor)
+        _, f, bound, (norm, *_) = _gram(w, norm_floor, vectors=False)
     except DegenerateWeightError:
         return np.zeros(0), 0, None
     drank = _delta_rank(f, delta)

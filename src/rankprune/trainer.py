@@ -4,7 +4,7 @@ Stage 1 walks the sparsity schedule. At every mask-update step the gradient of
 the combined objective (task loss plus lambda times the per-layer rank loss)
 is computed once and used both to regrow connections and to update weights;
 on all other steps only the task loss trains the active weights, which keeps
-the SVD cost amortized over the update interval. Stage 2 freezes the masks and
+the spectrum cost amortized over the update interval. Stage 2 freezes the masks and
 finetunes.
 
 Batch selection is stateless: step t's indices are the draw of a generator
@@ -249,7 +249,7 @@ def sgd_step(net: Network, grads, opt: OptimizerState, lr: float, momentum: floa
 
 def average_delta_rank(net: Network, delta: float, rank_cfg: RankLossConfig | None = None) -> tuple[float, float]:
     """(mean delta-rank, summed rank loss) of the effective weight matrices
-    over all prunable layers, from one values-only SVD per layer.
+    over all prunable layers, from one eigvalsh of each layer's Gram.
 
     The loss is 0.0 without rank_cfg; layers whose rank loss is undefined add
     nothing to it.

@@ -8,7 +8,7 @@ import rank_step_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankprune import linalg, rank
+from rankprune import linalg, model, rank, trainer
 from rankprune.rank import (
     DegenerateSpectrumError,
     DegenerateWeightError,
@@ -420,3 +420,57 @@ def test_single_live_line_skips_rank_term(shape, live):
     with pytest.raises(DegenerateSpectrumError):
         rank.layer_rank_term(w, RankLossConfig())
     assert rank.layer_spectrum(w, 0.1, RankLossConfig())[1:] == (1, None)
+
+
+def _spectrum_cases(rng, count):
+    """(label, matrix) pairs: sparse at 50-99% zeros, with dead lines inserted,
+    rank-deficient (a product through r < min(m, n) inner dimensions) and
+    dense, cycling through the four kinds, up to 70 x 70."""
+    for i in range(count):
+        m, n = int(rng.integers(2, 71)), int(rng.integers(2, 71))
+        kind = ("sparse", "dead lines", "rank-deficient", "dense")[i % 4]
+        if kind == "rank-deficient":
+            r = int(rng.integers(1, min(m, n)))
+            w = (rng.normal(size=(m, r)) * (rng.random((m, r)) < 0.6)) @ rng.normal(size=(r, n))
+        else:
+            w = rng.normal(size=(m, n))
+            if kind != "dense":
+                w[rng.random((m, n)) < rng.choice([0.5, 0.9, 0.99])] = 0.0
+            if kind == "dead lines":
+                w = _with_dead_lines(rng, w, int(rng.integers(1, 6)), int(rng.integers(0, 6)))
+        w[rng.integers(w.shape[0]), rng.integers(w.shape[1])] = 1.0  # never the zero matrix
+        yield kind, w
+
+
+def test_signs_of_zeros_move_no_bit():
+    # a pruned negative weight is stored as -0.0 (weight * mask), so the same
+    # values reach the spectra with either sign of zero: every reported bit
+    # must come out the same
+    rng = np.random.default_rng(29)
+    cfg = RankLossConfig()
+
+    def net(w):
+        return model.Network([model.Layer(model.MaskedTensor(v, np.ones_like(v)), np.zeros(len(v))) for v in (w, w.T)])
+
+    for kind, w in _spectrum_cases(rng, 240):
+        pos, neg = np.where(w == 0.0, 0.0, w), np.where(w == 0.0, -0.0, w)
+        assert np.signbit(neg[neg == 0.0]).all() and not np.signbit(pos[pos == 0.0]).any()
+        (s_pos, d_pos, l_pos), (s_neg, d_neg, l_neg) = (rank.layer_spectrum(x, 0.1, cfg) for x in (pos, neg))
+        assert s_pos.tobytes() == s_neg.tobytes(), kind
+        assert (d_pos, repr(l_pos)) == (d_neg, repr(l_neg)), kind
+        assert repr(trainer.average_delta_rank(net(pos), 0.1, cfg)) == repr(trainer.average_delta_rank(net(neg), 0.1, cfg))
+
+
+def test_spectrum_within_the_svds_precision():
+    # the Gram's spectrum against numpy's values-only SVD of w / ||w||: every
+    # sigma within 1e-7, those of 1e-4 and up within 1e-8 relative, and the
+    # same delta-rank at 0.1
+    rng = np.random.default_rng(31)
+    for kind, w in _spectrum_cases(rng, 400):
+        want = np.linalg.svd(w / np.linalg.norm(w), compute_uv=False)
+        sigma, drank, _ = rank.layer_spectrum(w, 0.1)
+        np.testing.assert_allclose(sigma, want, rtol=0.0, atol=1e-7, err_msg=kind)
+        big = want >= 1e-4
+        np.testing.assert_allclose(sigma[big], want[big], rtol=1e-8, atol=0.0, err_msg=kind)
+        f = linalg.SvdFactors(u=None, sigma=want, v=None)
+        assert drank == next(k for k in range(1, len(want) + 1) if linalg.low_rank_error(f, k) < 0.1), kind
