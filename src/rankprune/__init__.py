@@ -5,31 +5,9 @@ weight matrices lose rank. This package trains under a gradual prune-and-grow
 schedule while an adversarial rank term pushes each (normalized) weight matrix
 away from its best low-rank approximation, and it measures the resulting
 delta-ranks.
-"""
 
-from .linalg import SvdFactors, frobenius_norm, low_rank_error, svd, truncate
-from .rank import (
-    DegenerateSpectrumError,
-    DegenerateWeightError,
-    RankLossConfig,
-    delta_rank,
-    normalize,
-    rank_loss,
-    rank_loss_gradient,
-    rank_step_preview,
-    select_k,
-)
-from .sparsity import (
-    GrowSchedule,
-    ScheduleError,
-    SparsitySchedule,
-    global_density_split,
-    grow_fraction,
-    grow_layer,
-    prune_layer,
-    target_sparsity,
-    update_masks,
-)
-from .trainer import MetricsRecord, OptimizerState, TrainConfig, average_delta_rank, train
+The modules are the API (from rankprune import trainer), each declaring its
+public names in __all__; importing the package itself loads none of them.
+"""
 
 __version__ = "0.1.0"

@@ -34,6 +34,8 @@ def _build_dataset(cfg: ExperimentConfig) -> datasets.Dataset:
     if isinstance(cfg.dataset, SyntheticDatasetSpec):
         return datasets.make_blobs(cfg.dataset)
     images = datasets.load_idx_images(cfg.dataset.images, cfg.dataset.labels)
+    if len(images.labels) < 2:  # load_idx_images has refused a file with none
+        raise IdxError(f"{cfg.dataset.images}: holds one image, and a run needs two: one to train, one to evaluate")
     sample, want = images.inputs.shape[1:], cfg.model.input_shape
     flatten = len(want) == 1
     if ((int(np.prod(sample)),) if flatten else sample) != want:
@@ -229,23 +231,27 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _read_csv(path: str):
-    """(header, data rows as (line number, cells)) of a CSV file."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}:1: empty file")
-    header = lines[0].split(",")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
-        rows.append((lineno, cells))
-    if not rows:
-        raise ValueError(f"{path}:1: no data rows")
-    return header, rows
+def _csv_rows(path: str):
+    """Yield the header cells of a CSV file, then each data row as (line
+    number, cells), reading the file a line at a time; a row of the wrong
+    width, or a file with no data row, raises where it is found."""
+    with open(path, encoding="utf-8") as f:
+        first = f.readline()
+        if not first:
+            raise ValueError(f"{path}:1: empty file")
+        header = first.rstrip("\n").split(",")
+        yield header
+        found = False
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
+            found = True
+            yield lineno, cells
+        if not found:
+            raise ValueError(f"{path}:1: no data rows")
 
 
 def _float_columns(path: str, header, rows, names) -> list[list[float]]:
@@ -263,18 +269,22 @@ def _float_columns(path: str, header, rows, names) -> list[list[float]]:
 
 def cmd_plot(args) -> int:
     """Chart every metrics file as one series and at most one sweep file, each
-    recognized by its exact header; nothing is written if any file is bad."""
+    recognized by its exact header; nothing is written if any file is bad.
+    Files are read a row at a time, and only the cells a chart draws are kept."""
     out_dir = Path(args.out if args.out else ".")
     series, sweeps = [], []
     for path in args.csvs:
-        header, rows = _read_csv(path)
+        rows = _csv_rows(path)
+        header = next(rows)
         if ",".join(header) == MetricsRecord.CSV_HEADER:
             rank = header.index("avg_delta_rank")
-            rows = [(lineno, cells) for lineno, cells in rows if cells[rank] != ""]
-            if not rows:
+            xs, ys = _float_columns(path, header, (row for row in rows if row[1][rank] != ""),
+                                    ("sparsity", "avg_delta_rank"))
+            if not xs:
                 raise ValueError(f"{path}:1: no rows with avg_delta_rank values")
-            series.append((Path(path).stem, *_float_columns(path, header, rows, ("sparsity", "avg_delta_rank"))))
+            series.append((Path(path).stem, xs, ys))
         elif ",".join(header) == SWEEP_HEADER:
+            rows = list(rows)  # one row per lambda
             _, ranks, accs = _float_columns(path, header, rows, SWEEP_HEADER.split(","))
             sweeps.append((path, [cells[0] for _, cells in rows], ranks, accs))  # lambda's text is its tick label
         else:

@@ -149,14 +149,18 @@ class EmptyBatchError(ValueError):
 
 
 def stack_batches(batch: Batch, flatten: bool = False) -> Dataset:
-    """Split a batch of images into train/eval arrays (deterministic tail split)."""
+    """Split a batch of images into train/eval arrays (deterministic tail split).
+
+    The eval split is the last EVAL_FRACTION of the images, at least one and
+    never all of them; a batch of one image thus has an empty eval split,
+    which the command line refuses.
+    """
     x, y = batch.inputs, batch.labels
     count = x.shape[0]
     if count == 0:
         raise EmptyBatchError("batch holds no images to split")
     if flatten:
         x = x.reshape(count, -1)
-    n_eval = max(1, int(round(count * EVAL_FRACTION)))
-    n_eval = min(n_eval, count - 1) if count > 1 else 0
+    n_eval = min(max(1, int(round(count * EVAL_FRACTION))), count - 1)
     cut = count - n_eval
     return Dataset(x[:cut], y[:cut], x[cut:], y[cut:])

@@ -55,6 +55,7 @@ was: each running sum starts at +0.0 and so is never -0.0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,22 +229,26 @@ def build_network(input_shape, layer_specs, num_classes: int, seed: int) -> Netw
     return Network(layers)
 
 
-def _shifts(b: int, h: int, w: int, kh: int, kw: int):
-    """Yield (k, out, src, rows, cols) for each kernel offset (di, dj), in
-    order: its patch row k = di*kw + dj; the flat ranges of output pixels and
-    of the input pixels they read, shifted by s on a plane of b*h*w pixels;
-    and the strips of rows and columns of each image where that shift wraps
-    (see the module docstring). s is clamped to the plane; a shift that
-    would leave it has a strip covering the whole image.
+@functools.cache
+def _shifts(b: int, h: int, w: int, kh: int, kw: int) -> tuple:
+    """(k, out, src, rows, cols) for each kernel offset (di, dj), in order:
+    its patch row k = di*kw + dj; the flat ranges of output pixels and of the
+    input pixels they read, shifted by s on a plane of b*h*w pixels; and the
+    strips of rows and columns of each image where that shift wraps (see the
+    module docstring). s is clamped to the plane; a shift that would leave it
+    has a strip covering the whole image. Computed once per shape: the plan
+    holds only slices, which no caller can change.
     """
     n = b * h * w
+    plan = []
     for di, dj in np.ndindex(kh, kw):
         si, sj = di - (kh - 1) // 2, dj - (kw - 1) // 2
         s = min(max(si * w + sj, -n), n)
         rows = slice(max(0, h - si), h) if si > 0 else slice(0, min(h, -si))
         cols = slice(max(0, w - sj), w) if sj > 0 else slice(0, min(w, -sj))
         out = slice(max(0, -s), n - max(0, s))
-        yield di * kw + dj, out, slice(out.start + s, out.stop + s), rows, cols
+        plan.append((di * kw + dj, out, slice(out.start + s, out.stop + s), rows, cols))
+    return tuple(plan)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:

@@ -341,6 +341,19 @@ class TestCmdTrain:
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert f"error: {images}: holds no images" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "sweep-lambda"])
+    def test_one_image_idx_set_rejected_before_writing(self, tmp_path, capsys, command):
+        # one image leaves an empty eval split, whose accuracy NaN no strict JSON parser reads
+        images, labels = write_idx_pair(tmp_path, np.zeros((1, 4, 4), dtype=np.uint8), [0])
+        cfg_path = tmp_path / "idx.cfg"
+        cfg_path.write_text(IDX_CONFIG.format(model="input = 1x4x4\nlayers = conv:2x3x3", images=images,
+                                              labels=labels, out=tmp_path / "run"))
+        argv = [command, "--config", str(cfg_path)]
+        assert main(argv + (["--lambdas", "0"] if command == "sweep-lambda" else [])) == 1
+        assert capsys.readouterr().err == (
+            f"error: {images}: holds one image, and a run needs two: one to train, one to evaluate\n")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize(
         "old,new,message",
         [
@@ -687,6 +700,20 @@ class TestCmdPlot:
         path.write_text("\n".join(text) + "\n")
         assert main(["plot", str(path), "--out", str(tmp_path / "charts")]) == 1
         assert ":3" in capsys.readouterr().err
+
+    def test_memory_stays_below_file_size(self, tmp_path):
+        # a toy run's metrics.csv: 3000 steps, rank metrics on every 100th row
+        path = tmp_path / "m.csv"
+        rows = [trainer.MetricsRecord.CSV_HEADER]
+        for step in range(1, 3001):
+            rank = step % 100 == 0
+            record = trainer.MetricsRecord(step, step / 3000, 0.5 + step / 1e4, -0.25 if rank else None,
+                                   100.0 - step / 50 if rank else None, 0.875, 0.8125 if rank else None)
+            rows.append(record.csv_row())
+        path.write_text("\n".join(rows) + "\n")
+        peak = traced_peak(lambda: main(["plot", str(path), "--out", str(tmp_path / "charts")]))
+        assert (tmp_path / "charts" / "rank_vs_sparsity.svg").exists()
+        assert peak < 3 * path.stat().st_size
 
 
 # Trains CONV_60 through main in a fresh process and prints the minor page

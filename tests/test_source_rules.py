@@ -1,5 +1,6 @@
 """Rules on the package source: no module reads the environment or draws
-random numbers from an unseeded source, and only linalg.py runs an SVD.
+random numbers from an unseeded source, only linalg.py runs an SVD, and
+importing the package loads none of its modules.
 
 Every behaviour of rankprune is set by its config file and command-line
 flags, so identical config and seed mean identical runs. A module that read
@@ -11,6 +12,9 @@ route, whose bits also depend on the signs of the matrix's zeros.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,3 +154,11 @@ def test_rule_finds_svd_uses(source, expected):
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "linalg.py"))
 def test_module_runs_no_svd(module):
     assert svd_uses((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_package_import_loads_no_module():
+    # the modules are the API; a re-export in __init__.py would run before every command
+    code = "import sys, rankprune; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m.startswith('rankprune.')))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
