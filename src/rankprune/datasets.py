@@ -145,22 +145,21 @@ def load_idx_images(images_path, labels_path) -> Batch:
 
 
 class EmptyBatchError(ValueError):
-    """A batch to split holds no images."""
+    """A batch to split holds fewer than two images."""
 
 
 def stack_batches(batch: Batch, flatten: bool = False) -> Dataset:
     """Split a batch of images into train/eval arrays (deterministic tail split).
 
-    The eval split is the last EVAL_FRACTION of the images, at least one and
-    never all of them; a batch of one image thus has an empty eval split,
-    which the command line refuses.
+    The eval split is the last EVAL_FRACTION of the images, at least one and,
+    since a batch holds at least two, never all of them.
     """
     x, y = batch.inputs, batch.labels
     count = x.shape[0]
-    if count == 0:
-        raise EmptyBatchError("batch holds no images to split")
+    if count < 2:
+        raise EmptyBatchError(f"a split needs two images, one to train and one to evaluate; the batch holds {count}")
     if flatten:
         x = x.reshape(count, -1)
-    n_eval = min(max(1, int(round(count * EVAL_FRACTION))), count - 1)
+    n_eval = max(1, int(round(count * EVAL_FRACTION)))
     cut = count - n_eval
     return Dataset(x[:cut], y[:cut], x[cut:], y[cut:])

@@ -30,6 +30,7 @@ from .linalg import svd  # noqa: F401  not called here; perfbench/spans.py wraps
 
 __all__ = [
     "DEFAULT_DELTA",
+    "NORM_FLOOR",
     "RankLossConfig",
     "RankTerm",
     "DegenerateWeightError",
@@ -57,6 +58,10 @@ TAIL_SLACK = 1e-9
 # Tolerance of reported delta-ranks unless [report] delta or --delta sets one.
 DEFAULT_DELTA = 0.1
 
+# A matrix whose Frobenius norm is at or below this counts as zero: it has no
+# direction to normalize. RankLossConfig.norm_floor defaults to it.
+NORM_FLOOR = 1e-12
+
 
 class DegenerateWeightError(ValueError):
     """Weight norm at or below the floor; the rank term is meaningless."""
@@ -73,13 +78,14 @@ class RankLossConfig:
     target_error: desired approximation error of the adversary's low-rank fit,
         used to pick the truncation rank k per layer (in (0,1)).
     lam: weight of the rank loss in the combined objective (>= 0).
-    norm_floor: matrices with Frobenius norm at or below this are treated as
-        zero and skipped.
+    norm_floor: the rank term (layer_rank_term, layer_spectrum's loss) skips
+        matrices with Frobenius norm at or below this; every other path
+        uses NORM_FLOOR.
     """
 
     target_error: float = 0.2
     lam: float = 0.1
-    norm_floor: float = 1e-12
+    norm_floor: float = NORM_FLOOR
 
     def __post_init__(self):
         if not 0.0 < self.target_error < 1.0:
@@ -100,9 +106,9 @@ def _normalized(w: np.ndarray, norm_floor: float) -> tuple[np.ndarray, float]:
     return w / norm, norm
 
 
-def normalize(w, norm_floor: float = 1e-12) -> np.ndarray:
+def normalize(w) -> np.ndarray:
     """Scale a matrix to unit Frobenius norm, preserving direction."""
-    return _normalized(as_matrix(w), norm_floor)[0]
+    return _normalized(as_matrix(w), NORM_FLOOR)[0]
 
 
 def _live_block(w, norm_floor: float):
@@ -216,18 +222,18 @@ def _gradient(w: np.ndarray, f: SvdFactors, fit, k: int) -> np.ndarray:
     return g
 
 
-def rank_loss(w, k: int, norm_floor: float = 1e-12) -> float:
+def rank_loss(w, k: int) -> float:
     """Negative tail energy of the normalized spectrum: -sum_{i>k} sigma_i^2.
 
     Equal to the negative squared Frobenius distance between the normalized
     matrix and its best rank-k approximation. Lies in [-1, 0].
     """
-    _, f, _, _ = _gram(w, norm_floor, k, vectors=False)
+    _, f, _, _ = _gram(w, NORM_FLOOR, k, vectors=False)
     err = low_rank_error(f, k)
     return -(err * err)
 
 
-def rank_loss_gradient(w, k: int, norm_floor: float = 1e-12) -> np.ndarray:
+def rank_loss_gradient(w, k: int) -> np.ndarray:
     """Gradient of rank_loss with respect to the raw (unnormalized) weight.
 
     G = -T/||W|| + W * sum(W . T)/||W||^3 with T = sum_{i>k} 2 sigma_i u_i v_i^T
@@ -235,19 +241,19 @@ def rank_loss_gradient(w, k: int, norm_floor: float = 1e-12) -> np.ndarray:
     Gram eigendecomposition. Homogeneous of degree -1 in W, since the loss
     itself is scale invariant.
     """
-    w, f, _, fit = _gram(w, norm_floor, k)
+    w, f, _, fit = _gram(w, NORM_FLOOR, k)
     return _gradient(w, f, fit, k)
 
 
-def delta_rank(w, delta: float, norm_floor: float = 1e-12) -> int:
+def delta_rank(w, delta: float) -> int:
     """Smallest k whose best rank-k fit of the normalized matrix lands within delta.
 
     A zero matrix reports 0 by convention.
     """
-    return layer_spectrum(w, delta, norm_floor=norm_floor)[1]
+    return layer_spectrum(w, delta)[1]
 
 
-def rank_step_preview(w, k: int, gamma: float, norm_floor: float = 1e-12) -> np.ndarray:
+def rank_step_preview(w, k: int, gamma: float) -> np.ndarray:
     """One plain gradient step on the rank loss: w - gamma*rank_loss_gradient(w, k).
 
     In closed form
@@ -262,7 +268,7 @@ def rank_step_preview(w, k: int, gamma: float, norm_floor: float = 1e-12) -> np.
     check_k(k, 1, min(w.shape) - 1)  # before the gamma = 0 shortcut, which looks at no k
     if gamma == 0.0:
         return w.copy()
-    return w - gamma * rank_loss_gradient(w, k, norm_floor)
+    return w - gamma * rank_loss_gradient(w, k)
 
 
 @dataclass(frozen=True)
@@ -304,20 +310,21 @@ def _delta_rank(f: SvdFactors, delta: float) -> int:
     return next((k for k in range(lo, hi) if low_rank_error(f, k) < delta), hi)
 
 
-def layer_spectrum(w, delta: float, cfg: RankLossConfig | None = None, norm_floor: float = 1e-12):
+def layer_spectrum(w, delta: float, cfg: RankLossConfig | None = None):
     """(sigma, delta_rank, loss) of one layer from a single eigvalsh of its Gram.
 
     sigma holds the normalized singular values, delta_rank is delta_rank(w,
     delta), and loss is what layer_rank_term(w, cfg) would give, up to the
     last bits in which eigvalsh's eigenvalues differ from eigh's. A matrix at
-    or below norm_floor reports an empty sigma and delta-rank 0; loss is None
-    without cfg and wherever layer_rank_term would skip the layer. No value
-    depends on the signs of w's zeros.
+    or below NORM_FLOOR reports an empty sigma and delta-rank 0; loss is None
+    without cfg and wherever layer_rank_term would skip the layer, which
+    includes a norm at or below cfg.norm_floor. No value depends on the signs
+    of w's zeros.
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     try:
-        _, f, bound, (norm, *_) = _gram(w, norm_floor, vectors=False)
+        _, f, bound, (norm, *_) = _gram(w, NORM_FLOOR, vectors=False)
     except DegenerateWeightError:
         return np.zeros(0), 0, None
     drank = _delta_rank(f, delta)

@@ -38,7 +38,8 @@ __all__ = [
 
 
 class ScheduleError(ValueError):
-    """A mask update was asked to do something the schedule forbids."""
+    """A schedule breaks a rule of its own, or a mask update was asked to do
+    something the schedule forbids."""
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,10 @@ class SparsitySchedule:
         for name in ("prune_steps", "update_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.prune_steps % self.update_interval != 0:
+            # final sparsity is only reached at an update step; an indivisible
+            # pair would silently end the ramp short of the target
+            raise ScheduleError(f"prune_steps {self.prune_steps} must be a multiple of update_interval {self.update_interval}")
         if self.total_steps < self.prune_steps:
             raise ValueError(
                 f"total_steps {self.total_steps} < prune_steps {self.prune_steps}"

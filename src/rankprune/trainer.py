@@ -27,7 +27,7 @@ from . import model, rank, sparsity
 from .linalg import frobenius_norm
 from .model import Batch, Network, accuracy, backward, forward, loss_and_dout
 from .rank import DegenerateSpectrumError, DegenerateWeightError, RankLossConfig
-from .sparsity import GrowSchedule, ScheduleError, SparsitySchedule
+from .sparsity import GrowSchedule, SparsitySchedule
 
 __all__ = [
     "DivergenceError",
@@ -69,13 +69,6 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.schedule.prune_steps % self.schedule.update_interval != 0:
-            # final sparsity is only reached at an update step; an indivisible
-            # pair would silently end the ramp short of the target
-            raise ScheduleError(
-                f"prune_steps {self.schedule.prune_steps} must be a multiple of "
-                f"update_interval {self.schedule.update_interval}"
-            )
 
 
 @dataclass
@@ -287,7 +280,7 @@ def _check_weight_norms(net: Network, step: int) -> None:
 
 
 def _evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray, batch_size: int) -> float:
-    """Accuracy on the eval set, NaN if it is empty.
+    """Accuracy on the eval set.
 
     The set runs in slices of batch_size rows, so no eval forward is wider than
     a training one: a conv layer's patch matrix and the cached activations grow
@@ -295,8 +288,6 @@ def _evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray, batch_size: 
     The hits are counted over the slices and divided once, the same double as
     the mean over all rows.
     """
-    if len(labels) == 0:
-        return float("nan")
     hits = 0
     for lo in range(0, len(labels), batch_size):
         rows = slice(lo, lo + batch_size)
@@ -405,8 +396,9 @@ def train(
     with delta-ranks at tolerance delta, is appended per step to metrics: a
     new list, or any object with an append method that the caller passes.
     The result's metrics is that object. Schedule
-    problems raise, they are never clamped away, and a delta that is not
-    positive raises before the first step; a non-finite task loss
+    problems raise, they are never clamped away, and a dataset with no
+    train or no eval rows and a delta that is not positive raise before the
+    first step; a non-finite task loss
     raises DivergenceError before the step updates anything, and a weight
     norm that overflows raises it at the next step that records rank metrics.
 
@@ -428,6 +420,8 @@ def train(
     n = dataset.train_x.shape[0]
     if n < 1:
         raise ValueError("dataset is empty")
+    if len(dataset.eval_y) < 1:
+        raise ValueError("dataset has no eval rows")
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     last = sched.total_steps if stop_after is None else min(stop_after, sched.total_steps)

@@ -162,5 +162,7 @@ class TestIdx:
 
     @pytest.mark.parametrize("flatten", [True, False])
     def test_stack_batches_rejects_empty_batch(self, flatten):
-        with pytest.raises(EmptyBatchError, match="no images"):
-            datasets.stack_batches(Batch(np.zeros((0, 1, 2, 2)), np.zeros(0)), flatten=flatten)
+        # one image would leave the eval split empty
+        for count in (0, 1):
+            with pytest.raises(EmptyBatchError, match=f"^a split needs two images, .*; the batch holds {count}$"):
+                datasets.stack_batches(Batch(np.zeros((count, 1, 2, 2)), np.zeros(count)), flatten=flatten)

@@ -290,7 +290,7 @@ class TestRankStepPreview:
 
 class TestRankLossConfig:
     def test_validation(self):
-        RankLossConfig()  # defaults valid
+        assert RankLossConfig().norm_floor == rank.NORM_FLOOR  # defaults valid
         with pytest.raises(ValueError):
             RankLossConfig(target_error=0.0)
         with pytest.raises(ValueError):
@@ -299,6 +299,44 @@ class TestRankLossConfig:
             RankLossConfig(lam=-0.1)
         with pytest.raises(ValueError):
             RankLossConfig(norm_floor=0.0)
+
+
+def _scaled_to(norm):
+    """A (6, 4) matrix with a clear gap at k = 2, scaled to Frobenius norm ~norm."""
+    w = nondegenerate_matrix(np.random.default_rng(18), (6, 4), 2)
+    return w * (norm / linalg.frobenius_norm(w))
+
+
+class TestNormFloor:
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_at_or_below_the_floor_is_zero(self, scale):
+        w = _scaled_to(scale * rank.NORM_FLOOR)
+        assert linalg.frobenius_norm(w) <= rank.NORM_FLOOR
+        for degenerate in (rank.normalize, lambda w: rank.rank_loss(w, 2), lambda w: rank.rank_loss_gradient(w, 2)):
+            with pytest.raises(DegenerateWeightError):
+                degenerate(w)
+        assert rank.delta_rank(w, 0.1) == 0
+        assert rank.layer_spectrum(w, 0.1)[0].size == 0
+
+    def test_twice_the_floor_has_a_direction(self):
+        unit, w = _scaled_to(1.0), _scaled_to(2.0 * rank.NORM_FLOOR)
+        assert linalg.frobenius_norm(rank.normalize(w)) == pytest.approx(1.0, abs=1e-12)
+        assert rank.rank_loss(w, 2) == pytest.approx(rank.rank_loss(unit, 2), abs=1e-12)
+        assert np.all(np.isfinite(rank.rank_loss_gradient(w, 2)))
+        assert rank.delta_rank(w, 0.1) == rank.delta_rank(unit, 0.1) > 0
+        np.testing.assert_allclose(rank.layer_spectrum(w, 0.1)[0], rank.layer_spectrum(unit, 0.1)[0], atol=1e-12)
+
+    def test_config_floor_sets_only_the_rank_term(self):
+        # between NORM_FLOOR and cfg.norm_floor a matrix has a spectrum and a
+        # delta-rank, but no rank loss
+        cfg = RankLossConfig(norm_floor=1e-6)
+        w = _scaled_to(1e-9)
+        sigma, drank, loss = rank.layer_spectrum(w, 0.1, cfg)
+        assert sigma.size == 4 and drank == rank.delta_rank(_scaled_to(1.0), 0.1) > 0
+        assert loss is None
+        assert rank.layer_spectrum(w, 0.1, RankLossConfig())[2] is not None
+        with pytest.raises(DegenerateWeightError):
+            rank.layer_rank_term(w, cfg)
 
 
 class TestLayerRankTerm:

@@ -12,6 +12,12 @@ def schedule(final=0.9, prune=100, interval=10, total=200, shape="cubic"):
     return SparsitySchedule(final, prune, interval, total, shape)
 
 
+def test_prune_steps_must_be_a_multiple_of_update_interval():
+    # the ramp reaches final_sparsity only at an update step
+    with pytest.raises(ScheduleError, match="^prune_steps 100 must be a multiple of update_interval 30$"):
+        SparsitySchedule(0.9, 100, 30, 200)
+
+
 class TestTargetSparsity:
     def test_start(self):
         assert sp.target_sparsity(schedule(), 0) == 0.0

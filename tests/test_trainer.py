@@ -278,9 +278,15 @@ def traced_peak(run) -> int:
 
 
 class TestEvaluate:
-    def test_empty_eval_set_is_nan(self):
-        net, _ = eval_net("dense")
-        assert math.isnan(trainer._evaluate(net, np.zeros((0, 12)), np.zeros(0, dtype=np.int64), 8))
+    def test_train_refuses_an_empty_eval_split(self):
+        data = small_dataset()
+        data.eval_x, data.eval_y = data.eval_x[:0], data.eval_y[:0]
+        net = small_net()
+        before = [l.params.weight.copy() for l in net.layers]
+        with pytest.raises(ValueError, match="^dataset has no eval rows$"):
+            trainer.train(net, data, small_config())
+        for l, w in zip(net.layers, before):  # refused before step 1
+            np.testing.assert_array_equal(l.params.weight, w)
 
     @pytest.mark.parametrize("n", [5, 8, 24, 29])  # below, at, a multiple of and off the batch size
     @pytest.mark.parametrize("kind", ["dense", "conv"])
