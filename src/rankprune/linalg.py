@@ -42,17 +42,12 @@ class SvdFactors:
     """Thin SVD of an m-by-n matrix: ``u @ diag(sigma) @ v.T`` reconstructs it.
 
     u is m-by-r and v is n-by-r with orthonormal columns; sigma holds the
-    r = min(m, n) singular values in descending order. u and v are None when
-    only the values were computed.
+    r = min(m, n) singular values in descending order.
     """
 
-    u: np.ndarray | None
+    u: np.ndarray
     sigma: np.ndarray
-    v: np.ndarray | None
-
-    @property
-    def rank_bound(self) -> int:
-        return len(self.sigma)
+    v: np.ndarray
 
 
 def frobenius_norm(w) -> float:
@@ -90,16 +85,17 @@ def check_k(k, lo: int, hi: int) -> None:
 
 def truncate(f: SvdFactors, k: int) -> np.ndarray:
     """Best rank-k approximation: sum of the top-k singular triplets."""
-    check_k(k, 1, f.rank_bound)
+    check_k(k, 1, len(f.sigma))
     return (f.u[:, :k] * f.sigma[:k]) @ f.v[:, :k].T
 
 
-def low_rank_error(f: SvdFactors, k: int) -> float:
-    """Frobenius distance from the matrix to its best rank-k approximation.
+def low_rank_error(sigma: np.ndarray, k: int) -> float:
+    """Frobenius distance from a matrix to its best rank-k approximation.
 
-    Equals sqrt(sum of squared singular values past k); k may be 0 (distance
-    to the zero matrix) up to r (which gives 0).
+    Takes the matrix's r singular values, descending, and returns sqrt(sum of
+    squared singular values past k); k may be 0 (distance to the zero matrix)
+    up to r (which gives 0).
     """
-    check_k(k, 0, f.rank_bound)
-    tail = f.sigma[k:]
+    check_k(k, 0, len(sigma))
+    tail = sigma[k:]
     return float(np.sqrt(np.sum(tail * tail)))

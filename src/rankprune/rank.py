@@ -11,9 +11,10 @@ all-zero rows and columns (at high sparsity whole rows and columns die), from
 one symmetric eigendecomposition of its smaller Gram matrix. The mask-step
 gradient takes the eigenvectors too, since by Eckart-Young the best rank-k fit
 projects onto the top-k eigenspace; reported spectra (delta-rank, rank loss,
-analyze) take the eigenvalues alone. Each reported number is a tail sum of
-sigma^2, which the Gram gives to the accuracy the training objective uses, so
-no path runs an SVD.
+analyze) take the eigenvalues alone. A spectrum is a plain descending array
+of the normalized singular values, zero-padded to min(m, n), and each reported
+number is a tail sum of its squares, which the Gram gives to the accuracy the
+training objective uses, so no path runs an SVD.
 
 All functions operate on the effective (already masked) weight matrix and are
 pure; per-layer calls may run concurrently.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SvdFactors, as_matrix, check_k, frobenius_norm, low_rank_error
+from .linalg import as_matrix, check_k, frobenius_norm, low_rank_error
 from .linalg import svd  # noqa: F401  not called here; perfbench/spans.py wraps rank.svd by this name
 
 __all__ = [
@@ -111,36 +112,28 @@ def normalize(w) -> np.ndarray:
     return _normalized(as_matrix(w), NORM_FLOOR)[0]
 
 
-def _live_block(w, norm_floor: float):
-    """(w as a matrix, ||w||, w/||w||, live rows, live columns, live block of w/||w||).
+def _gram(w, norm_floor: float, k: int | None = None, vectors: bool = True):
+    """(w as a matrix, spectrum of w/||w||, live rank bound, fit) from one
+    symmetric eigendecomposition of the live block's smaller Gram.
 
-    A row or column is live when it holds a nonzero of w/||w||. With no dead
-    row or column the live block is w/||w|| itself, not a copy.
+    The live block B is w/||w|| without its all-zero rows and columns (a row
+    or column is live when it holds a nonzero of w/||w||); with no dead row
+    or column it is w/||w|| itself, not a copy. The Gram is B B^T when B has
+    no more rows than columns (left), else B^T B; its order is the live rank
+    bound. The spectrum is sqrt(max(lambda, 0)) of its eigenvalues,
+    descending and padded with zeros to r = min(m, n); a given k must be an
+    integer in [1, r - 1]. fit is (||w||, w/||w||, Q, left). With vectors
+    np.linalg.eigh decomposes the Gram, and Q is its eigenbasis in ascending
+    eigenvalue order, its rows placed at the live rows (left) or columns of w
+    and zero at the dead ones; without, np.linalg.eigvalsh gives the
+    eigenvalues alone and Q is None.
     """
     w = as_matrix(w)
     wbar, norm = _normalized(w, norm_floor)
     nonzero = wbar != 0.0
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
-    block = wbar if (len(rows), len(cols)) == w.shape else wbar[np.ix_(rows, cols)]
-    return w, norm, wbar, rows, cols, block
-
-
-def _gram(w, norm_floor: float, k: int | None = None, vectors: bool = True):
-    """(w as a matrix, spectrum of w/||w||, live rank bound, fit) from one
-    symmetric eigendecomposition of the live block's smaller Gram.
-
-    The Gram is B B^T when the live block B has no more rows than columns
-    (left), else B^T B; its order is the live rank bound. The spectrum is
-    sqrt(max(lambda, 0)) of its eigenvalues, descending and padded with zeros
-    to r = min(m, n), as values-only factors; a given k must be an integer in
-    [1, r - 1]. fit is (||w||, w/||w||, Q, left). With vectors np.linalg.eigh
-    decomposes the Gram, and Q is its eigenbasis in ascending eigenvalue
-    order, its rows placed at the live rows (left) or columns of w and zero
-    at the dead ones; without, np.linalg.eigvalsh gives the eigenvalues alone
-    and Q is None.
-    """
-    w, norm, wbar, rows, cols, b = _live_block(w, norm_floor)
+    b = wbar if (len(rows), len(cols)) == w.shape else wbar[np.ix_(rows, cols)]
     if k is not None:
         check_k(k, 1, min(w.shape) - 1)
     left = b.shape[0] <= b.shape[1]
@@ -150,8 +143,8 @@ def _gram(w, norm_floor: float, k: int | None = None, vectors: bool = True):
     if q is not None:
         basis[rows if left else cols] = q
     sigma = np.sqrt(np.maximum(lam[::-1], 0.0))
-    f = SvdFactors(u=None, sigma=np.concatenate([sigma, np.zeros(min(w.shape) - len(sigma))]), v=None)
-    return w, f, len(lam), (norm, wbar, basis, left)
+    sigma = np.concatenate([sigma, np.zeros(min(w.shape) - len(sigma))])
+    return w, sigma, len(lam), (norm, wbar, basis, left)
 
 
 def select_k(sigma_normalized, target_error: float) -> int:
@@ -185,18 +178,18 @@ def _check_gap(sigma: np.ndarray, k: int) -> None:
         )
 
 
-def _term(f: SvdFactors, live_bound: int, target_error: float) -> tuple[int, float]:
+def _term(sigma: np.ndarray, live_bound: int, target_error: float) -> tuple[int, float]:
     """The rank term's k and loss; raises DegenerateSpectrumError where it is
     undefined or where one live row or column leaves an empty tail for every k."""
     if live_bound < 2:
         raise DegenerateSpectrumError("rank bound 1: no k leaves a nonzero tail")
-    k = select_k(f.sigma, target_error)
-    _check_gap(f.sigma, k)
-    err = low_rank_error(f, k)
+    k = select_k(sigma, target_error)
+    _check_gap(sigma, k)
+    err = low_rank_error(sigma, k)
     return k, -(err * err)
 
 
-def _gradient(w: np.ndarray, f: SvdFactors, fit, k: int) -> np.ndarray:
+def _gradient(w: np.ndarray, sigma: np.ndarray, fit, k: int) -> np.ndarray:
     """G = -T/||W|| + W * c/||W||^3, the raw weight's gradient, with c = sum(W . T).
 
     T = 2(Wbar - Wbar_k), twice the normalized matrix's residual from its best
@@ -204,10 +197,10 @@ def _gradient(w: np.ndarray, f: SvdFactors, fit, k: int) -> np.ndarray:
     eigenbasis of _gram. T is zero on dead rows and columns, and the
     projector Q_k Q_k^T does not depend on the signs Q_k comes with.
 
-    Overwrites the fit's Wbar, which _live_block may also have handed out as
-    the live block.
+    Overwrites the fit's Wbar, which _gram may also have used as the live
+    block.
     """
-    _check_gap(f.sigma, k)
+    _check_gap(sigma, k)
     norm, wbar, q, left = fit
     qk = q[:, -k:]
     # One buffer turns from Wbar_k into T into G, and once T exists the two
@@ -228,8 +221,8 @@ def rank_loss(w, k: int) -> float:
     Equal to the negative squared Frobenius distance between the normalized
     matrix and its best rank-k approximation. Lies in [-1, 0].
     """
-    _, f, _, _ = _gram(w, NORM_FLOOR, k, vectors=False)
-    err = low_rank_error(f, k)
+    _, sigma, _, _ = _gram(w, NORM_FLOOR, k, vectors=False)
+    err = low_rank_error(sigma, k)
     return -(err * err)
 
 
@@ -241,8 +234,8 @@ def rank_loss_gradient(w, k: int) -> np.ndarray:
     Gram eigendecomposition. Homogeneous of degree -1 in W, since the loss
     itself is scale invariant.
     """
-    w, f, _, fit = _gram(w, NORM_FLOOR, k)
-    return _gradient(w, f, fit, k)
+    w, sigma, _, fit = _gram(w, NORM_FLOOR, k)
+    return _gradient(w, sigma, fit, k)
 
 
 def delta_rank(w, delta: float) -> int:
@@ -288,26 +281,26 @@ def layer_rank_term(w, cfg: RankLossConfig) -> RankTerm:
     layer this step. Matrices with one live row or column leave an empty tail
     for every k and also raise DegenerateSpectrumError.
     """
-    w, f, bound, fit = _gram(w, cfg.norm_floor)
-    k, loss = _term(f, bound, cfg.target_error)
-    return RankTerm(loss=loss, gradient=_gradient(w, f, fit, k), k=k)
+    w, sigma, bound, fit = _gram(w, cfg.norm_floor)
+    k, loss = _term(sigma, bound, cfg.target_error)
+    return RankTerm(loss=loss, gradient=_gradient(w, sigma, fit, k), k=k)
 
 
-def _delta_rank(f: SvdFactors, delta: float) -> int:
-    """Smallest k >= 1 with low_rank_error(f, k) < delta; k = r (error 0) always qualifies.
+def _delta_rank(sigma: np.ndarray, delta: float) -> int:
+    """Smallest k >= 1 with low_rank_error(sigma, k) < delta; k = r (error 0) always qualifies.
 
     All tail errors come from one reverse cumulative sum. It adds in another
     order than low_rank_error, so an error may differ in its last bits: every
     k whose cumulative-sum error lies within TAIL_SLACK of delta is settled by
     low_rank_error itself, in increasing k, which keeps the answer exact.
     """
-    tails = np.sqrt(np.cumsum((f.sigma * f.sigma)[::-1])[::-1][1:])  # tails[k-1]: rank k
+    tails = np.sqrt(np.cumsum((sigma * sigma)[::-1])[::-1][1:])  # tails[k-1]: rank k
     # tails is non-increasing, so a count of entries at or above a bound is
     # the position of the first entry below it
     slack = delta * TAIL_SLACK + 1e-150
     lo = 1 + int(np.count_nonzero(tails >= delta + slack))
     hi = 1 + int(np.count_nonzero(tails >= delta - slack))
-    return next((k for k in range(lo, hi) if low_rank_error(f, k) < delta), hi)
+    return next((k for k in range(lo, hi) if low_rank_error(sigma, k) < delta), hi)
 
 
 def layer_spectrum(w, delta: float, cfg: RankLossConfig | None = None):
@@ -324,14 +317,14 @@ def layer_spectrum(w, delta: float, cfg: RankLossConfig | None = None):
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     try:
-        _, f, bound, (norm, *_) = _gram(w, NORM_FLOOR, vectors=False)
+        _, sigma, bound, (norm, *_) = _gram(w, NORM_FLOOR, vectors=False)
     except DegenerateWeightError:
         return np.zeros(0), 0, None
-    drank = _delta_rank(f, delta)
+    drank = _delta_rank(sigma, delta)
     loss = None
     if cfg is not None and norm > cfg.norm_floor:
         try:
-            loss = _term(f, bound, cfg.target_error)[1]
+            loss = _term(sigma, bound, cfg.target_error)[1]
         except DegenerateSpectrumError:
             pass
-    return f.sigma, drank, loss
+    return sigma, drank, loss

@@ -157,7 +157,7 @@ def global_density_split(weights, density: float, masks=None) -> list[float]:
     budget = min(total, math.ceil(density * total - 1e-9))
     active = None
     if masks is not None:
-        active = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in masks])
+        active = np.concatenate([np.ravel(m) == 1.0 for m in masks])
     # a zero or NaN magnitude ranks below every positive one, so when the
     # positives fill the budget only they need a partition: at high sparsity
     # most magnitudes are exact zeros, on which np.partition is slow. When

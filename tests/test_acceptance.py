@@ -75,7 +75,7 @@ def test_criterion_2_eckart_young():
         f = linalg.svd(w)
         wnorm = linalg.frobenius_norm(w)
         for k in range(1, len(f.sigma) + 1):
-            best = linalg.low_rank_error(f, k)
+            best = linalg.low_rank_error(f.sigma, k)
             explicit = linalg.frobenius_norm(w - linalg.truncate(f, k))
             assert abs(explicit - best) <= 1e-10
             a = rng.normal(size=(500, m, k))

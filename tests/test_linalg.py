@@ -128,7 +128,7 @@ class TestTruncate:
         f = linalg.svd(w)
         err = linalg.frobenius_norm(w - linalg.truncate(f, 2))
         assert err == pytest.approx(np.sqrt(np.sum(f.sigma[2:] ** 2)), abs=1e-8)
-        assert err == pytest.approx(linalg.low_rank_error(f, 2), abs=1e-8)
+        assert err == pytest.approx(linalg.low_rank_error(f.sigma, 2), abs=1e-8)
 
     def test_result_rank(self):
         w = np.random.default_rng(7).normal(size=(6, 6))
@@ -154,38 +154,38 @@ class TestTruncate:
 class TestLowRankError:
     def test_direct_sum(self):
         f = linalg.svd(np.diag([3.0, 2.0, 1.0]))
-        assert linalg.low_rank_error(f, 1) == pytest.approx(np.sqrt(5.0), abs=1e-12)
+        assert linalg.low_rank_error(f.sigma, 1) == pytest.approx(np.sqrt(5.0), abs=1e-12)
 
     def test_full_rank_zero(self):
         f = linalg.svd(np.diag([3.0, 2.0, 1.0]))
-        assert linalg.low_rank_error(f, 3) == 0.0
+        assert linalg.low_rank_error(f.sigma, 3) == 0.0
 
     def test_k_zero_is_full_norm(self):
         w = np.random.default_rng(8).normal(size=(5, 3))
         f = linalg.svd(w)
-        assert linalg.low_rank_error(f, 0) == pytest.approx(linalg.frobenius_norm(w), abs=1e-10)
+        assert linalg.low_rank_error(f.sigma, 0) == pytest.approx(linalg.frobenius_norm(w), abs=1e-10)
 
     def test_matches_explicit_distance(self):
         w = np.random.default_rng(9).normal(size=(8, 5))
         f = linalg.svd(w)
         for k in range(1, 6):
             explicit = linalg.frobenius_norm(w - linalg.truncate(f, k))
-            assert linalg.low_rank_error(f, k) == pytest.approx(explicit, abs=1e-8)
+            assert linalg.low_rank_error(f.sigma, k) == pytest.approx(explicit, abs=1e-8)
 
     def test_out_of_range(self):
         f = linalg.svd(np.eye(2))
         with pytest.raises(ValueError):
-            linalg.low_rank_error(f, -1)
+            linalg.low_rank_error(f.sigma, -1)
         with pytest.raises(ValueError):
-            linalg.low_rank_error(f, 3)
+            linalg.low_rank_error(f.sigma, 3)
 
     def test_k_must_be_an_integer(self):
         f = linalg.svd(np.diag([3.0, 2.0, 1.0]))
         with pytest.raises(ValueError, match="k=1.0 must be an integer"):
-            linalg.low_rank_error(f, 1.0)
+            linalg.low_rank_error(f.sigma, 1.0)
         with pytest.raises(ValueError, match="k=False must be an integer"):
-            linalg.low_rank_error(f, False)
-        assert linalg.low_rank_error(f, np.int32(1)) == linalg.low_rank_error(f, 1)
+            linalg.low_rank_error(f.sigma, False)
+        assert linalg.low_rank_error(f.sigma, np.int32(1)) == linalg.low_rank_error(f.sigma, 1)
 
 
 def test_eckart_young_sampled():
@@ -197,7 +197,7 @@ def test_eckart_young_sampled():
         f = linalg.svd(w)
         wnorm = linalg.frobenius_norm(w)
         for k in range(1, min(m, n) + 1):
-            best = linalg.low_rank_error(f, k)
+            best = linalg.low_rank_error(f.sigma, k)
             a = rng.normal(size=(100, m, k))
             b = rng.normal(size=(100, k, n))
             cand = a @ b

@@ -225,11 +225,10 @@ class TestDeltaRank:
         sigma, _, _ = rank.layer_spectrum(w, 0.1)
         if sigma.size == 0:
             return
-        f = linalg.SvdFactors(u=None, sigma=sigma, v=None)
-        errors = [linalg.low_rank_error(f, k) for k in range(f.rank_bound)]
+        errors = [linalg.low_rank_error(sigma, k) for k in range(len(sigma))]
         deltas = [d for e in errors for d in (e, np.nextafter(e, 0.0), np.nextafter(e, 2.0)) if d > 0.0]
         for delta in deltas + [float(x) for x in 1.0 - rng.random(5)]:
-            expected = next(k for k in range(1, f.rank_bound + 1) if linalg.low_rank_error(f, k) < delta)
+            expected = next(k for k in range(1, len(sigma) + 1) if linalg.low_rank_error(sigma, k) < delta)
             assert rank.layer_spectrum(w, delta)[1] == expected
 
     def test_monotone_in_delta(self):
@@ -510,5 +509,4 @@ def test_spectrum_within_the_svds_precision():
         np.testing.assert_allclose(sigma, want, rtol=0.0, atol=1e-7, err_msg=kind)
         big = want >= 1e-4
         np.testing.assert_allclose(sigma[big], want[big], rtol=1e-8, atol=0.0, err_msg=kind)
-        f = linalg.SvdFactors(u=None, sigma=want, v=None)
-        assert drank == next(k for k in range(1, len(want) + 1) if linalg.low_rank_error(f, k) < 0.1), kind
+        assert drank == next(k for k in range(1, len(want) + 1) if linalg.low_rank_error(want, k) < 0.1), kind
